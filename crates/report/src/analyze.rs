@@ -18,6 +18,59 @@ pub struct OriginCost {
     pub cache_hits: u64,
 }
 
+/// Solver time per pass, summed over the `smt.check` spans under one
+/// benchmark's queries (microseconds, as the spans measured them).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PassTimes {
+    /// `smt.check` spans summed.
+    pub checks: u64,
+    /// Grounding, preprocessing, CNF encoding and atom compilation.
+    pub prep_us: u64,
+    /// CDCL search, theory hooks excluded.
+    pub sat_us: u64,
+    /// Congruence closure and the final check's lemma scan.
+    pub euf_us: u64,
+    /// Simplex, branch-and-bound, theory combination and model building.
+    pub lia_us: u64,
+    /// E-matching rounds.
+    pub ematch_us: u64,
+}
+
+impl PassTimes {
+    /// The per-pass field names on `smt.check` spans, in column order.
+    pub const FIELDS: [&'static str; 5] = ["prep_us", "sat_us", "euf_us", "lia_us", "ematch_us"];
+
+    fn add_check(&mut self, ev: &TraceEvent) {
+        let f = |k: &str| ev.field_num(k).unwrap_or(0.0) as u64;
+        self.checks += 1;
+        self.prep_us += f("prep_us");
+        self.sat_us += f("sat_us");
+        self.euf_us += f("euf_us");
+        self.lia_us += f("lia_us");
+        self.ematch_us += f("ematch_us");
+    }
+
+    fn absorb(&mut self, o: &PassTimes) {
+        self.checks += o.checks;
+        self.prep_us += o.prep_us;
+        self.sat_us += o.sat_us;
+        self.euf_us += o.euf_us;
+        self.lia_us += o.lia_us;
+        self.ematch_us += o.ematch_us;
+    }
+
+    /// The pass times in [`PassTimes::FIELDS`] order.
+    pub fn values(&self) -> [u64; 5] {
+        [
+            self.prep_us,
+            self.sat_us,
+            self.euf_us,
+            self.lia_us,
+            self.ematch_us,
+        ]
+    }
+}
+
 /// One expensive query, provenance attached.
 #[derive(Debug, Clone)]
 pub struct TopQuery {
@@ -92,6 +145,8 @@ pub struct Analysis {
     pub counters: BTreeMap<String, u64>,
     /// CEGIS counterexample rounds observed per benchmark.
     pub cegis_rounds: BTreeMap<String, u64>,
+    /// Benchmark → per-pass solver time of its queries' `smt.check` spans.
+    pub passes: BTreeMap<String, PassTimes>,
 }
 
 struct SpanInfo {
@@ -107,6 +162,9 @@ impl Analysis {
         // span id → info; populated from span_end events, which carry the
         // recorded fields and duration (starts only mark tree shape)
         let mut spans: BTreeMap<u64, SpanInfo> = BTreeMap::new();
+        // `smt.check` pass times waiting for their parent query span (which
+        // ends after them and carries the benchmark)
+        let mut checks: BTreeMap<u64, PassTimes> = BTreeMap::new();
 
         for ev in &trace.events {
             match ev.kind {
@@ -142,8 +200,15 @@ impl Analysis {
                             })
                             .children_us += dur;
                     }
+                    if ev.name == "smt.check" {
+                        checks.entry(ev.parent).or_default().add_check(ev);
+                    }
                     if ev.name == "smt.query" {
                         out.note_query(ev, dur);
+                        if let Some(p) = checks.remove(&ev.span) {
+                            let bench = ev.field_str("bench").unwrap_or("?").to_string();
+                            out.passes.entry(bench).or_default().absorb(&p);
+                        }
                     }
                 }
             }
@@ -263,6 +328,24 @@ mod tests {
         let pick = &a.attribution[&("Σi".to_string(), "pickone".to_string())];
         assert_eq!((pick.queries, pick.total_us, pick.cache_hits), (1, 40, 1));
         assert_eq!(a.counters["smt.queries"], 2);
+    }
+
+    #[test]
+    fn check_pass_times_sum_under_their_query_benchmark() {
+        let trace = Trace::parse(concat!(
+            r#"{"seq":1,"t_us":0,"thread":0,"kind":"span_end","name":"smt.check","span":2,"parent":1,"dur_us":90,"fields":{"prep_us":5,"sat_us":10,"euf_us":30,"lia_us":40,"ematch_us":1}}"#,
+            "\n",
+            r#"{"seq":2,"t_us":1,"thread":0,"kind":"span_end","name":"smt.check","span":3,"parent":1,"dur_us":9,"fields":{"prep_us":1,"sat_us":2,"euf_us":3,"lia_us":4,"ematch_us":0}}"#,
+            "\n",
+            r#"{"seq":3,"t_us":2,"thread":0,"kind":"span_end","name":"smt.query","span":1,"dur_us":100,"fields":{"bench":"vshift","phase":"solve","cached":false}}"#,
+            "\n",
+        ));
+        let a = Analysis::from_trace(&trace, 10);
+        let p = a.passes["vshift"];
+        assert_eq!(p.checks, 2);
+        assert_eq!(p.values(), [6, 12, 33, 44, 1]);
+        let text = crate::render::analysis_report(&a, &trace.stats, &[]);
+        assert!(text.contains("solver time per pass"), "{text}");
     }
 
     #[test]

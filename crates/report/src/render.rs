@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use crate::analyze::Analysis;
+use crate::analyze::{Analysis, PassTimes};
 use crate::bench::BenchRow;
 use crate::diff::{DiffReport, Severity};
 use crate::ingest::IngestStats;
@@ -54,6 +54,23 @@ pub fn analysis_report(analysis: &Analysis, stats: &IngestStats, bench: &[BenchR
                 cost.cache_hits
             )
             .unwrap();
+        }
+        writeln!(s).unwrap();
+    }
+
+    if !analysis.passes.is_empty() {
+        writeln!(s, "== solver time per pass (smt.check) ==").unwrap();
+        write!(s, "{:<24} {:>8}", "benchmark", "checks").unwrap();
+        for f in PassTimes::FIELDS {
+            write!(s, " {:>10}", f.trim_end_matches("_us")).unwrap();
+        }
+        writeln!(s).unwrap();
+        for (bench, p) in &analysis.passes {
+            write!(s, "{:<24} {:>8}", bench, p.checks).unwrap();
+            for v in p.values() {
+                write!(s, " {:>10}", fmt_us(v)).unwrap();
+            }
+            writeln!(s).unwrap();
         }
         writeln!(s).unwrap();
     }

@@ -1,21 +1,18 @@
 //! `pins-report --xray`: the solver-forensics report.
 //!
-//! Aggregates the pins-xray instrumentation out of a trace into the
-//! go/no-go numbers for the backtrackable-theory rearchitecture (ROADMAP
-//! item 1):
+//! Aggregates the pins-xray instrumentation out of a trace:
 //!
 //! * **Incrementality scoreboard** — per benchmark: how many queries sit
 //!   within an assertion-set delta of `k` atoms from their predecessor, how
-//!   many are pure extensions (the warm-start sweet spot), and the
-//!   projected solver time a warm start could save (uncached query time
-//!   scaled by the shared-prefix fraction).
-//! * **Miss-cause breakdown** — the `smt.cache.miss` taxonomy (first-seen /
+//!   many are pure extensions (what a cross-query warm start would serve),
+//!   and the uncached solver time.
+//! * **Miss-cause breakdown** — the cache-miss taxonomy (first-seen /
 //!   config-mismatch / budget-retry / near-miss) summed over the run.
 //! * **Top-K unsat cores** — cores by content id, ranked by how often the
 //!   same core refuted a query; a handful of hot cores means refutations
 //!   are structural and cacheable, a long tail means they are not.
 //!
-//! All inputs are `smt.query` span fields and `smt.cache.miss` points, so
+//! All inputs are `smt.query` span fields, so
 //! the report works on any trace from an instrumented run — no separate
 //! artifact format.
 
@@ -46,9 +43,6 @@ pub struct BenchXray {
     pub pure_extensions: u64,
     /// Microseconds spent on uncached (actually solved) queries.
     pub solve_us: u64,
-    /// Projected microseconds a warm-started solver could save: uncached
-    /// query time scaled by the shared-prefix fraction, summed.
-    pub projected_warm_us: u64,
 }
 
 /// One unsat core aggregated by content id.
@@ -72,7 +66,7 @@ pub struct XrayReport {
     pub delta_k: u64,
     /// Benchmark → incrementality aggregates.
     pub benchmarks: BTreeMap<String, BenchXray>,
-    /// Miss cause → count, from `smt.cache.miss` points.
+    /// Miss cause → count, from the `miss_cause` of `smt.query` spans.
     pub miss_causes: BTreeMap<String, u64>,
     /// Cores descending by frequency (full list; renderers truncate).
     pub cores: Vec<CoreStat>,
@@ -88,11 +82,10 @@ impl XrayReport {
         let mut cores: BTreeMap<String, CoreStat> = BTreeMap::new();
         for ev in &trace.events {
             match ev.kind {
-                Kind::Point if ev.name == "smt.cache.miss" => {
-                    let cause = ev.field_str("cause").unwrap_or("?").to_string();
-                    *out.miss_causes.entry(cause).or_default() += 1;
-                }
                 Kind::SpanEnd if ev.name == "smt.query" => {
+                    if let Some(cause) = ev.field_str("miss_cause") {
+                        *out.miss_causes.entry(cause.to_string()).or_default() += 1;
+                    }
                     let bench = ev.field_str("bench").unwrap_or("?").to_string();
                     let b = out.benchmarks.entry(bench).or_default();
                     b.queries += 1;
@@ -115,13 +108,7 @@ impl XrayReport {
                         }
                     }
                     if !cached {
-                        let dur = ev.dur_us.unwrap_or(0);
-                        b.solve_us += dur;
-                        let shared = ev.field_num("shared_prefix").unwrap_or(0.0);
-                        let atoms = ev.field_num("atoms").unwrap_or(0.0);
-                        if atoms > 0.0 {
-                            b.projected_warm_us += (dur as f64 * shared / atoms) as u64;
-                        }
+                        b.solve_us += ev.dur_us.unwrap_or(0);
                     }
                     if let Some(id) = ev.field_str("core_id") {
                         let stat = cores.entry(id.to_string()).or_insert(CoreStat {
@@ -160,7 +147,6 @@ impl XrayReport {
             t.within_delta_k += b.within_delta_k;
             t.pure_extensions += b.pure_extensions;
             t.solve_us += b.solve_us;
-            t.projected_warm_us += b.projected_warm_us;
         }
         t
     }
@@ -176,15 +162,14 @@ impl XrayReport {
                 s,
                 "    {{\"benchmark\": \"{}\", \"queries\": {}, \"cached\": {}, \
                  \"audited\": {}, \"within_delta_k\": {}, \"pure_extensions\": {}, \
-                 \"solve_us\": {}, \"projected_warm_us\": {}}}",
+                 \"solve_us\": {}}}",
                 esc(name),
                 b.queries,
                 b.cached,
                 b.audited,
                 b.within_delta_k,
                 b.pure_extensions,
-                b.solve_us,
-                b.projected_warm_us
+                b.solve_us
             );
             s.push_str(if i + 1 < self.benchmarks.len() {
                 ",\n"
@@ -270,16 +255,8 @@ pub fn render(report: &XrayReport, top_k: usize) -> String {
     );
     let _ = writeln!(
         s,
-        "{:<24} {:>8} {:>8} {:>8} {:>7} {:>9} {:>10} {:>10} {:>8}",
-        "benchmark",
-        "queries",
-        "cached",
-        "audited",
-        "<=dk",
-        "pure-ext",
-        "solve",
-        "warmable",
-        "save"
+        "{:<24} {:>8} {:>8} {:>8} {:>7} {:>9} {:>10}",
+        "benchmark", "queries", "cached", "audited", "<=dk", "pure-ext", "solve"
     );
     let totals = report.totals();
     for (name, b) in report
@@ -290,7 +267,7 @@ pub fn render(report: &XrayReport, top_k: usize) -> String {
     {
         let _ = writeln!(
             s,
-            "{:<24} {:>8} {:>8} {:>8} {:>7} {:>9} {:>10} {:>10} {:>8}",
+            "{:<24} {:>8} {:>8} {:>8} {:>7} {:>9} {:>10}",
             name,
             b.queries,
             b.cached,
@@ -298,8 +275,6 @@ pub fn render(report: &XrayReport, top_k: usize) -> String {
             pct(b.within_delta_k, b.audited),
             pct(b.pure_extensions, b.audited),
             fmt_us(b.solve_us),
-            fmt_us(b.projected_warm_us),
-            pct(b.projected_warm_us, b.solve_us),
         );
     }
     let _ = writeln!(s);
@@ -347,17 +322,13 @@ mod tests {
     fn demo_trace() -> Trace {
         Trace::parse(concat!(
             // query 1: first of the session — no audit fields, a first-seen miss
-            r#"{"seq":1,"t_us":0,"thread":0,"kind":"point","name":"smt.cache.miss","fields":{"cause":"first_seen","near_delta":0,"atoms":3}}"#,
-            "\n",
-            r#"{"seq":2,"t_us":1,"thread":0,"kind":"span_end","name":"smt.query","span":1,"dur_us":100,"fields":{"bench":"Σi","phase":"solve","atoms":3,"cached":false,"verdict":"sat"}}"#,
+            r#"{"seq":1,"t_us":1,"thread":0,"kind":"span_end","name":"smt.query","span":1,"dur_us":100,"fields":{"bench":"Σi","phase":"solve","atoms":3,"cached":false,"miss_cause":"first_seen","verdict":"sat"}}"#,
             "\n",
             // query 2: pure extension within delta-k, unsat with a core
-            r#"{"seq":3,"t_us":2,"thread":0,"kind":"point","name":"smt.cache.miss","fields":{"cause":"near_miss","near_delta":1,"atoms":4}}"#,
-            "\n",
-            r#"{"seq":4,"t_us":3,"thread":0,"kind":"span_end","name":"smt.query","span":2,"dur_us":200,"fields":{"bench":"Σi","phase":"solve","atoms":4,"shared_prefix":3,"delta_added":1,"delta_removed":0,"cached":false,"verdict":"unsat","core_size":2,"core_id":"00000000deadbeef","core_exact":true}}"#,
+            r#"{"seq":2,"t_us":3,"thread":0,"kind":"span_end","name":"smt.query","span":2,"dur_us":200,"fields":{"bench":"Σi","phase":"solve","atoms":4,"shared_prefix":3,"delta_added":1,"delta_removed":0,"cached":false,"miss_cause":"near_miss","verdict":"unsat","core_size":2,"core_id":"00000000deadbeef","core_exact":true}}"#,
             "\n",
             // query 3: cache hit replaying the same core, big delta
-            r#"{"seq":5,"t_us":4,"thread":0,"kind":"span_end","name":"smt.query","span":3,"dur_us":5,"fields":{"bench":"Vector shift","phase":"pickone","atoms":9,"shared_prefix":0,"delta_added":9,"delta_removed":4,"cached":true,"verdict":"unsat","core_size":2,"core_id":"00000000deadbeef","core_exact":true}}"#,
+            r#"{"seq":3,"t_us":4,"thread":0,"kind":"span_end","name":"smt.query","span":3,"dur_us":5,"fields":{"bench":"Vector shift","phase":"pickone","atoms":9,"shared_prefix":0,"delta_added":9,"delta_removed":4,"cached":true,"verdict":"unsat","core_size":2,"core_id":"00000000deadbeef","core_exact":true}}"#,
             "\n",
         ))
     }
@@ -369,8 +340,6 @@ mod tests {
         assert_eq!((b.queries, b.cached, b.audited), (2, 0, 1));
         assert_eq!((b.within_delta_k, b.pure_extensions), (1, 1));
         assert_eq!(b.solve_us, 300);
-        // query 2 is warmable for 200us * 3/4
-        assert_eq!(b.projected_warm_us, 150);
         let v = &r.benchmarks["Vector shift"];
         assert_eq!((v.queries, v.cached, v.audited), (1, 1, 1));
         assert_eq!(v.within_delta_k, 0, "delta 13 > k=4");

@@ -28,7 +28,7 @@
 mod heap;
 mod solver;
 
-pub use solver::{Lit, SolveResult, Solver, Var};
+pub use solver::{Lit, SolveResult, Solver, Theory, TheoryConflict, Var};
 
 #[cfg(test)]
 mod tests;

@@ -97,6 +97,59 @@ struct Watcher {
     blocker: Lit,
 }
 
+/// Why a [`Theory`] rejected the current trail.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TheoryConflict {
+    /// A clause that is valid in the theory and false under the trail: the
+    /// negations of the trail literals that explain the inconsistency.
+    Clause(Vec<Lit>),
+    /// The theory ran out of budget (or overflowed); the search stops with
+    /// [`SolveResult::Interrupted`].
+    Stop(StopReason),
+}
+
+/// A theory solver driven from the CDCL trail (DPLL(T)).
+///
+/// The solver calls [`Theory::propagate`] at every unit-propagation
+/// fixpoint, [`Theory::backtrack`] whenever it cuts the trail back, and
+/// [`Theory::final_check`] once every variable is assigned. A theory keeps
+/// its own backtrackable state aligned with the trail: it asserts the trail
+/// literals it has not seen yet and undoes the ones a backtrack removed.
+pub trait Theory {
+    /// Asserts the trail literals past the ones already seen.
+    fn propagate(&mut self, trail: &[Lit]) -> Result<(), TheoryConflict>;
+    /// The trail was cut back to its first `len` literals.
+    fn backtrack(&mut self, len: usize);
+    /// Checks a full assignment (after a successful `propagate`).
+    fn final_check(&mut self, trail: &[Lit]) -> Result<(), TheoryConflict>;
+}
+
+/// The empty theory behind plain [`Solver::solve`]: every hook accepts.
+struct NoTheory;
+
+impl Theory for NoTheory {
+    #[inline(always)]
+    fn propagate(&mut self, _: &[Lit]) -> Result<(), TheoryConflict> {
+        Ok(())
+    }
+    #[inline(always)]
+    fn backtrack(&mut self, _: usize) {}
+    #[inline(always)]
+    fn final_check(&mut self, _: &[Lit]) -> Result<(), TheoryConflict> {
+        Ok(())
+    }
+}
+
+/// What became of a theory conflict clause handed to the search.
+enum Learned {
+    /// The clause is false at level 0: the formula is unsatisfiable.
+    Unsat,
+    /// The clause was attached; analyze it as the conflict.
+    Conflict(u32),
+    /// A unit clause: its literal was enqueued at level 0.
+    Unit,
+}
+
 /// Minimum conflicts before a solve call earns a `sat.solve` trace event.
 /// Keeps tracing overhead bounded: trivial calls (the overwhelming majority
 /// in a CEGIS loop) stay silent, while the calls that dominate wall-clock
@@ -645,8 +698,37 @@ impl Solver {
     /// Solves under the given assumption literals. The assumptions only hold
     /// for this call; the learnt clauses persist.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
+        self.traced_search(assumptions, &mut NoTheory)
+    }
+
+    /// Solves under assumptions modulo `theory` (DPLL(T)). Theory conflicts
+    /// are learnt as clauses inside the search. On [`SolveResult::Sat`] the
+    /// full assignment stays on the trail so the caller can finish its
+    /// theory work; call [`Solver::backtrack_theory`] before changing the
+    /// clause set. Every other result leaves the solver at level 0 with the
+    /// theory backtracked to match.
+    pub fn solve_with_theory<T: Theory>(
+        &mut self,
+        assumptions: &[Lit],
+        theory: &mut T,
+    ) -> SolveResult {
+        let result = self.traced_search(assumptions, theory);
+        if result != SolveResult::Sat {
+            self.backtrack_theory(theory);
+        }
+        result
+    }
+
+    /// Cuts the trail back to level 0 and tells `theory`, so the theory
+    /// state matches the trail before clauses are added.
+    pub fn backtrack_theory<T: Theory>(&mut self, theory: &mut T) {
+        self.cancel_until(0);
+        theory.backtrack(self.trail.len());
+    }
+
+    fn traced_search<T: Theory>(&mut self, assumptions: &[Lit], theory: &mut T) -> SolveResult {
         if !pins_trace::is_enabled() {
-            return self.search(assumptions);
+            return self.search(assumptions, theory);
         }
         // Tracing path: the engine makes thousands of SAT calls per query,
         // so per-call events are sampled — only calls that did real search
@@ -659,7 +741,7 @@ impl Solver {
             self.restarts,
         );
         let start = std::time::Instant::now();
-        let result = self.search(assumptions);
+        let result = self.search(assumptions, theory);
         let conflicts = self.conflicts - c0;
         if conflicts >= SAT_TRACE_MIN_CONFLICTS {
             let verdict = match result {
@@ -682,9 +764,39 @@ impl Solver {
         result
     }
 
-    /// The CDCL search loop behind [`Solver::solve_with_assumptions`].
-    fn search(&mut self, assumptions: &[Lit]) -> SolveResult {
+    /// Attaches a theory conflict clause so conflict analysis can resolve
+    /// it: backjumps to the clause's highest level first, so the clause has
+    /// a literal at the current decision level.
+    fn learn_theory_clause<T: Theory>(&mut self, mut lits: Vec<Lit>, theory: &mut T) -> Learned {
+        lits.sort_unstable();
+        lits.dedup();
+        lits.retain(|&l| self.level[l.var().index()] > 0);
+        debug_assert!(lits.iter().all(|&l| self.lit_value(l) == -1));
+        if lits.is_empty() {
+            self.ok = false;
+            return Learned::Unsat;
+        }
+        // the two highest-level literals become the watches
+        lits.sort_by_key(|&l| std::cmp::Reverse(self.level[l.var().index()]));
+        let top = self.level[lits[0].var().index()];
+        if top < self.decision_level() {
+            self.cancel_until(top);
+            theory.backtrack(self.trail.len());
+        }
+        if lits.len() == 1 {
+            self.cancel_until(0);
+            theory.backtrack(self.trail.len());
+            self.unchecked_enqueue(lits[0], None);
+            return Learned::Unit;
+        }
+        Learned::Conflict(self.attach(lits, true))
+    }
+
+    /// The CDCL search loop behind [`Solver::solve_with_assumptions`] and
+    /// [`Solver::solve_with_theory`].
+    fn search<T: Theory>(&mut self, assumptions: &[Lit], theory: &mut T) -> SolveResult {
         self.cancel_until(0);
+        theory.backtrack(self.trail.len());
         self.assumption_core.clear();
         if !self.ok {
             return SolveResult::Unsat;
@@ -696,8 +808,28 @@ impl Solver {
         let mut restart_count = 0u64;
         let mut conflicts_until_restart = 100 * Self::luby(restart_count);
         let mut conflicts_this_restart = 0u64;
+        // a conflict clause from the theory's final check, analyzed at the
+        // next loop head
+        let mut final_conflict: Option<u32> = None;
         loop {
-            if let Some(confl) = self.propagate() {
+            let mut confl = match final_conflict.take() {
+                Some(cref) => Some(cref),
+                None => self.propagate(),
+            };
+            if confl.is_none() {
+                match theory.propagate(&self.trail) {
+                    Ok(()) => {}
+                    Err(TheoryConflict::Stop(reason)) => return SolveResult::Interrupted(reason),
+                    Err(TheoryConflict::Clause(lits)) => {
+                        match self.learn_theory_clause(lits, theory) {
+                            Learned::Unsat => return SolveResult::Unsat,
+                            Learned::Unit => continue,
+                            Learned::Conflict(cref) => confl = Some(cref),
+                        }
+                    }
+                }
+            }
+            if let Some(confl) = confl {
                 self.conflicts += 1;
                 conflicts_this_restart += 1;
                 // timeline sample: every 256th conflict process-wide, so a
@@ -722,6 +854,7 @@ impl Solver {
                 }
                 let (learnt, bt) = self.analyze(confl);
                 self.cancel_until(bt);
+                theory.backtrack(self.trail.len());
                 if learnt.len() == 1 {
                     self.unchecked_enqueue(learnt[0], None);
                 } else {
@@ -750,6 +883,7 @@ impl Solver {
                     conflicts_until_restart = 100 * Self::luby(restart_count);
                     conflicts_this_restart = 0;
                     self.cancel_until(0);
+                    theory.backtrack(self.trail.len());
                     continue;
                 }
                 // decide: assumptions first, then VSIDS
@@ -778,7 +912,21 @@ impl Solver {
                         return SolveResult::Interrupted(reason);
                     }
                     match self.pick_branch_var() {
-                        None => return SolveResult::Sat,
+                        None => match theory.final_check(&self.trail) {
+                            Ok(()) => return SolveResult::Sat,
+                            Err(TheoryConflict::Stop(reason)) => {
+                                return SolveResult::Interrupted(reason)
+                            }
+                            Err(TheoryConflict::Clause(lits)) => {
+                                // the final check's clause is resolved at the
+                                // next loop head like a propagation conflict
+                                match self.learn_theory_clause(lits, theory) {
+                                    Learned::Unsat => return SolveResult::Unsat,
+                                    Learned::Unit => {}
+                                    Learned::Conflict(cref) => final_conflict = Some(cref),
+                                }
+                            }
+                        },
                         Some(v) => {
                             self.decisions += 1;
                             self.trail_lim.push(self.trail.len());

@@ -43,7 +43,7 @@ type Subst = HashMap<TermId, TermId>;
 /// loop head.
 pub fn ematch_round(
     arena: &mut TermArena,
-    euf: &mut Euf,
+    euf: &Euf,
     axioms: &[TermId],
     done: &mut HashSet<(TermId, Vec<TermId>)>,
     instances_so_far: usize,

@@ -1,12 +1,19 @@
-//! Congruence closure (EUF) with proof-forest explanations.
+//! Congruence closure (EUF) with proof-forest explanations, undoable.
 //!
-//! The engine registers the full subterm DAG of every asserted (dis)equality,
+//! The engine registers the full subterm DAG of every term it is given,
 //! treating *all* operators — uninterpreted applications, `sel`/`upd`, and
 //! even the arithmetic operators — as congruence-respecting function symbols
 //! (which is sound and improves equality propagation between the theories).
 //! Conflicts come with explanations: the set of asserted atom tags whose
 //! equalities force the clash, extracted from a Nieuwenhuis–Oliveras style
 //! proof forest.
+//!
+//! Every change made after registration — unions, use-list moves,
+//! signature-table entries, proof edges, disequalities — is logged, so
+//! [`Euf::undo_to`] restores any earlier [`Euf::mark`]. Union-find runs
+//! without path compression (union by rank keeps `find` logarithmic) so a
+//! union is undone by resetting one parent pointer. Terms are registered
+//! once and never unregistered; register them only at the base level.
 
 use std::collections::{HashMap, HashSet};
 
@@ -14,7 +21,7 @@ use pins_logic::{Term, TermArena, TermId};
 
 /// Why two nodes were merged.
 #[derive(Debug, Clone, Copy)]
-enum Cause {
+pub enum Cause {
     /// An equality asserted by the SAT model, tagged by the caller.
     Asserted(u32),
     /// Congruence of two application nodes with pairwise-equal children.
@@ -28,7 +35,28 @@ struct Signature {
     children: Vec<u32>,
 }
 
-/// A batch congruence-closure solver.
+/// One logged change, reverted by [`Euf::undo_to`].
+#[derive(Debug)]
+enum Undo {
+    /// `union(a, b)`: the proof edge `a -> b` was added after rerooting `a`'s
+    /// proof tree away from `old_root`; `loser` joined `winner`, whose use
+    /// list had `uses` entries and whose constant witness was `old_const`.
+    Union {
+        a: u32,
+        old_root: u32,
+        loser: u32,
+        winner: u32,
+        bumped: bool,
+        uses: usize,
+        old_const: Option<(i64, u32)>,
+    },
+    /// A signature-table entry was inserted.
+    Sig(Signature),
+    /// A disequality was pushed.
+    Diseq,
+}
+
+/// An undoable congruence-closure solver.
 #[derive(Debug, Default)]
 pub struct Euf {
     terms: Vec<TermId>,
@@ -48,8 +76,17 @@ pub struct Euf {
     int_const: Vec<Option<(i64, u32)>>,
     pending: Vec<(u32, u32, Cause)>,
     diseqs: Vec<(u32, u32, u32)>,
-    closed: bool,
+    /// Live unions in order: `(a, b, cause)` for the proof edge `a -> b`.
+    unions: Vec<(u32, u32, Cause)>,
+    undo: Vec<Undo>,
+    /// A constant clash `(n0, n1)` found by the union logged at undo index
+    /// `.2`, reported by every check until that union is undone.
+    clash: Option<(u32, u32, usize)>,
 }
+
+/// A point [`Euf::undo_to`] can return to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct EufMark(usize);
 
 impl Euf {
     /// Creates an empty engine.
@@ -69,7 +106,18 @@ impl Euf {
         }
     }
 
-    /// Registers `t` and its subterm DAG; returns its node.
+    /// Number of registered nodes.
+    pub fn num_nodes(&self) -> usize {
+        self.terms.len()
+    }
+
+    /// The term of a node.
+    pub fn term(&self, n: u32) -> TermId {
+        self.terms[n as usize]
+    }
+
+    /// Registers `t` and its subterm DAG; returns its node. Registration is
+    /// not logged: call it only where the state is never undone.
     pub fn add_term(&mut self, arena: &TermArena, t: TermId) -> u32 {
         if let Some(&n) = self.node_of.get(&t) {
             return n;
@@ -108,33 +156,91 @@ impl Euf {
                 self.sig_table.insert(sig, n);
             }
         }
-        self.closed = false;
         n
     }
 
-    fn find(&mut self, mut n: u32) -> u32 {
+    /// The class root of a node.
+    pub fn find(&self, mut n: u32) -> u32 {
         while self.uf[n as usize] != n {
-            let p = self.uf[n as usize];
-            self.uf[n as usize] = self.uf[p as usize];
             n = self.uf[n as usize];
         }
         n
     }
 
-    /// Asserts `a = b` with atom tag `tag`.
+    /// Queues `a = b` (registered nodes) with atom tag `tag`; [`Euf::close`]
+    /// merges it.
+    pub fn merge(&mut self, a: u32, b: u32, tag: u32) {
+        self.pending.push((a, b, Cause::Asserted(tag)));
+    }
+
+    /// Asserts `a != b` (registered nodes) with atom tag `tag`.
+    pub fn diseq(&mut self, a: u32, b: u32, tag: u32) {
+        self.diseqs.push((a, b, tag));
+        self.undo.push(Undo::Diseq);
+    }
+
+    /// Asserts `a = b` with atom tag `tag`, registering both terms.
     pub fn assert_eq(&mut self, arena: &TermArena, a: TermId, b: TermId, tag: u32) {
         let na = self.add_term(arena, a);
         let nb = self.add_term(arena, b);
-        self.pending.push((na, nb, Cause::Asserted(tag)));
-        self.closed = false;
+        self.merge(na, nb, tag);
     }
 
-    /// Asserts `a != b` with atom tag `tag`.
+    /// Asserts `a != b` with atom tag `tag`, registering both terms.
     pub fn assert_neq(&mut self, arena: &TermArena, a: TermId, b: TermId, tag: u32) {
         let na = self.add_term(arena, a);
         let nb = self.add_term(arena, b);
-        self.diseqs.push((na, nb, tag));
-        self.closed = false;
+        self.diseq(na, nb, tag);
+    }
+
+    /// The current undo point.
+    pub fn mark(&self) -> EufMark {
+        debug_assert!(self.pending.is_empty(), "mark inside an unclosed batch");
+        EufMark(self.undo.len())
+    }
+
+    /// Reverts every change logged since `mark`, and drops queued merges.
+    pub fn undo_to(&mut self, mark: EufMark) {
+        self.pending.clear();
+        if self.clash.is_some_and(|c| c.2 >= mark.0) {
+            self.clash = None;
+        }
+        while self.undo.len() > mark.0 {
+            match self.undo.pop().expect("non-empty log") {
+                Undo::Union {
+                    a,
+                    old_root,
+                    loser,
+                    winner,
+                    bumped,
+                    uses,
+                    old_const,
+                } => {
+                    self.unions.pop();
+                    let moved = self.use_list[winner as usize].split_off(uses);
+                    self.use_list[loser as usize] = moved;
+                    self.int_const[winner as usize] = old_const;
+                    if bumped {
+                        self.rank[winner as usize] -= 1;
+                    }
+                    self.uf[loser as usize] = loser;
+                    self.proof[a as usize] = None;
+                    self.reroot(old_root);
+                }
+                Undo::Sig(sig) => {
+                    self.sig_table.remove(&sig);
+                }
+                Undo::Diseq => {
+                    self.diseqs.pop();
+                }
+            }
+        }
+    }
+
+    /// The live unions, oldest first: `(a, b, cause)` per proof edge. Every
+    /// class is spanned by the edges of its members.
+    pub fn unions(&self) -> &[(u32, u32, Cause)] {
+        &self.unions
     }
 
     /// Reverses the proof-forest path from `n` to its tree root so that `n`
@@ -155,6 +261,13 @@ impl Euf {
         }
     }
 
+    fn proof_root(&self, mut n: u32) -> u32 {
+        while let Some((to, _)) = self.proof[n as usize] {
+            n = to;
+        }
+        n
+    }
+
     fn union(&mut self, a: u32, b: u32, cause: Cause) {
         let ra = self.find(a);
         let rb = self.find(b);
@@ -162,8 +275,10 @@ impl Euf {
             return;
         }
         // proof forest edge a -> b
+        let old_root = self.proof_root(a);
         self.reroot(a);
         self.proof[a as usize] = Some((b, cause));
+        self.unions.push((a, b, cause));
 
         // merge smaller-rank class into larger
         let (winner, loser) = if self.rank[ra as usize] >= self.rank[rb as usize] {
@@ -171,23 +286,36 @@ impl Euf {
         } else {
             (rb, ra)
         };
-        if self.rank[winner as usize] == self.rank[loser as usize] {
+        let bumped = self.rank[winner as usize] == self.rank[loser as usize];
+        if bumped {
             self.rank[winner as usize] += 1;
         }
         self.uf[loser as usize] = winner;
-        // constant witnesses
-        if let (None, Some(c)) = (
-            self.int_const[winner as usize],
-            self.int_const[loser as usize],
-        ) {
-            self.int_const[winner as usize] = Some(c)
+        // constant witnesses: two distinct constants in one class clash
+        let old_const = self.int_const[winner as usize];
+        match (old_const, self.int_const[loser as usize]) {
+            (None, Some(c)) => self.int_const[winner as usize] = Some(c),
+            (Some((v0, n0)), Some((v1, n1))) if v0 != v1 && self.clash.is_none() => {
+                self.clash = Some((n0, n1, self.undo.len()));
+            }
+            _ => {}
         }
+        let uses = self.use_list[winner as usize].len();
+        self.undo.push(Undo::Union {
+            a,
+            old_root,
+            loser,
+            winner,
+            bumped,
+            uses,
+            old_const,
+        });
         // recompute signatures of parents of the losing class
         let parents = std::mem::take(&mut self.use_list[loser as usize]);
-        for p in parents {
-            if let Some((op, kids)) = self.sig_template[p as usize].clone() {
+        for &p in &parents {
+            if let Some((op, kids)) = &self.sig_template[p as usize] {
                 let sig = Signature {
-                    op,
+                    op: *op,
                     children: kids.iter().map(|&k| self.find(k)).collect(),
                 };
                 if let Some(&other) = self.sig_table.get(&sig) {
@@ -195,25 +323,31 @@ impl Euf {
                         self.pending.push((p, other, Cause::Congruence(p, other)));
                     }
                 } else {
-                    self.sig_table.insert(sig, p);
+                    self.sig_table.insert(sig.clone(), p);
+                    self.undo.push(Undo::Sig(sig));
                 }
             }
-            self.use_list[winner as usize].push(p);
         }
+        self.use_list[winner as usize].extend(parents);
     }
 
-    fn close(&mut self) {
+    /// Runs the closure over the queued merges.
+    pub fn close(&mut self) {
         while let Some((a, b, cause)) = self.pending.pop() {
             self.union(a, b, cause);
         }
-        self.closed = true;
     }
 
     /// Runs the closure and checks disequalities and integer-constant clashes.
     /// On conflict, returns the asserted atom tags responsible.
     pub fn check(&mut self) -> Result<(), Vec<u32>> {
         self.close();
-        // disequality violations
+        if let Some((n0, n1, _)) = self.clash {
+            let mut expl = self.explain(n0, n1);
+            expl.sort_unstable();
+            expl.dedup();
+            return Err(expl);
+        }
         for i in 0..self.diseqs.len() {
             let (a, b, tag) = self.diseqs[i];
             if self.find(a) == self.find(b) {
@@ -224,35 +358,12 @@ impl Euf {
                 return Err(expl);
             }
         }
-        // distinct integer constants merged
-        let mut const_witness: HashMap<u32, (i64, u32)> = HashMap::new();
-        for n in 0..self.terms.len() as u32 {
-            if let Some((v, node)) = self.int_const[n as usize] {
-                if node != n {
-                    continue; // only process witness entries once (at their node)
-                }
-                let root = self.find(n);
-                if let Some(&(v0, n0)) = const_witness.get(&root) {
-                    if v0 != v {
-                        let mut expl = self.explain(n0, n);
-                        expl.sort_unstable();
-                        expl.dedup();
-                        return Err(expl);
-                    }
-                } else {
-                    const_witness.insert(root, (v, n));
-                }
-            }
-        }
         Ok(())
     }
 
     /// Whether `a` and `b` are currently in the same class (both must have
     /// been added).
-    pub fn same_class(&mut self, a: TermId, b: TermId) -> bool {
-        if !self.closed {
-            self.close();
-        }
+    pub fn same_class(&self, a: TermId, b: TermId) -> bool {
         match (self.node_of.get(&a), self.node_of.get(&b)) {
             (Some(&na), Some(&nb)) => self.find(na) == self.find(nb),
             _ => false,
@@ -260,44 +371,35 @@ impl Euf {
     }
 
     /// All registered terms together with their class root node.
-    pub fn class_of_terms(&mut self) -> Vec<(TermId, u32)> {
-        if !self.closed {
-            self.close();
-        }
+    pub fn class_of_terms(&self) -> Vec<(TermId, u32)> {
         (0..self.terms.len() as u32)
             .map(|n| (self.terms[n as usize], self.find(n)))
             .collect()
     }
 
     /// The class root of a registered term.
-    pub fn root_of(&mut self, t: TermId) -> Option<u32> {
+    pub fn root_of(&self, t: TermId) -> Option<u32> {
         let n = *self.node_of.get(&t)?;
         Some(self.find(n))
     }
 
-    /// Explains why two registered terms are in the same class: returns the
-    /// asserted atom tags responsible.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the terms are not registered or not congruent.
-    pub fn explain_terms(&mut self, a: TermId, b: TermId) -> Vec<u32> {
-        let na = self.node_of[&a];
-        let nb = self.node_of[&b];
-        if !self.closed {
-            self.close();
-        }
-        let mut tags = self.explain(na, nb);
-        tags.sort_unstable();
-        tags.dedup();
+    /// The asserted tags behind the live union `unions()[i]`.
+    pub fn explain_union(&self, i: usize) -> Vec<u32> {
+        let mut tags = Vec::new();
+        let mut queue = Vec::new();
+        push_cause(&self.sig_template, self.unions[i].2, &mut tags, &mut queue);
+        tags.extend(self.explain_pairs(queue));
         tags
     }
 
     /// Explains why `a` and `b` are congruent: the set of asserted tags.
+    fn explain(&self, a: u32, b: u32) -> Vec<u32> {
+        self.explain_pairs(vec![(a, b)])
+    }
+
     #[allow(clippy::needless_range_loop)]
-    fn explain(&mut self, a: u32, b: u32) -> Vec<u32> {
+    fn explain_pairs(&self, mut queue: Vec<(u32, u32)>) -> Vec<u32> {
         let mut tags = Vec::new();
-        let mut queue = vec![(a, b)];
         let mut seen: HashSet<(u32, u32)> = HashSet::new();
         while let Some((x, y)) = queue.pop() {
             if x == y || !seen.insert((x.min(y), x.max(y))) {
@@ -318,10 +420,20 @@ impl Euf {
             let (ci, cj) = common
                 .unwrap_or_else(|| panic!("explain called on nodes not in the same proof tree"));
             for k in 0..ci {
-                self.push_cause(px[k].1.expect("edge"), &mut tags, &mut queue);
+                push_cause(
+                    &self.sig_template,
+                    px[k].1.expect("edge"),
+                    &mut tags,
+                    &mut queue,
+                );
             }
             for k in 0..cj {
-                self.push_cause(py[k].1.expect("edge"), &mut tags, &mut queue);
+                push_cause(
+                    &self.sig_template,
+                    py[k].1.expect("edge"),
+                    &mut tags,
+                    &mut queue,
+                );
             }
         }
         tags
@@ -345,17 +457,21 @@ impl Euf {
             }
         }
     }
+}
 
-    fn push_cause(&mut self, cause: Cause, tags: &mut Vec<u32>, queue: &mut Vec<(u32, u32)>) {
-        match cause {
-            Cause::Asserted(tag) => tags.push(tag),
-            Cause::Congruence(p, q) => {
-                let kp = self.sig_template[p as usize].clone().expect("app node").1;
-                let kq = self.sig_template[q as usize].clone().expect("app node").1;
-                for (x, y) in kp.into_iter().zip(kq) {
-                    queue.push((x, y));
-                }
-            }
+#[allow(clippy::type_complexity)]
+fn push_cause(
+    templates: &[Option<((u8, u32), Vec<u32>)>],
+    cause: Cause,
+    tags: &mut Vec<u32>,
+    queue: &mut Vec<(u32, u32)>,
+) {
+    match cause {
+        Cause::Asserted(tag) => tags.push(tag),
+        Cause::Congruence(p, q) => {
+            let kp = &templates[p as usize].as_ref().expect("app node").1;
+            let kq = &templates[q as usize].as_ref().expect("app node").1;
+            queue.extend(kp.iter().copied().zip(kq.iter().copied()));
         }
     }
 }

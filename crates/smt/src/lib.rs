@@ -67,6 +67,7 @@ mod rational;
 pub mod session;
 mod simplex;
 mod solver;
+mod theory;
 
 pub use ematch::{ematch_round, EmatchConfig};
 pub use euf::Euf;

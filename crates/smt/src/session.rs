@@ -634,8 +634,6 @@ struct AuditDelta {
     added: u64,
     /// Atoms in the previous query but not this one.
     removed: u64,
-    /// Total atoms in this query (ordered, with duplicates).
-    atoms: u64,
 }
 
 // ---------------------------------------------------------------------------
@@ -803,12 +801,9 @@ struct SessionMetrics {
     audit_added: Counter,
     audit_removed: Counter,
     audit_pure_extensions: Counter,
-    /// Summed nanoseconds spent in uncached solves — cache misses and sat
-    /// re-solves (the audit's denominator for projected warm-start savings).
+    /// Summed nanoseconds spent in uncached solves (cache misses and sat
+    /// re-solves).
     audit_solve_ns: Counter,
-    /// Projected nanoseconds a warm-started solver would have saved:
-    /// `solve_ns x shared_prefix / atoms` summed over audited misses.
-    audit_warm_ns: Counter,
     cores: Counter,
     cores_inexact: Counter,
     /// Log-scaled assertion-set delta (added + removed atoms) between
@@ -849,7 +844,6 @@ impl SessionMetrics {
             audit_removed: c("audit.removed"),
             audit_pure_extensions: c("audit.pure_extensions"),
             audit_solve_ns: c("audit.solve_ns"),
-            audit_warm_ns: c("audit.warm_ns"),
             cores: c("cores"),
             cores_inexact: c("cores.inexact"),
             audit_delta_atoms: registry.histogram(&format!("{prefix}.audit.delta_atoms")),
@@ -1275,7 +1269,7 @@ impl SmtSession {
 
     /// Measures this query against the previous one for the incrementality
     /// audit and advances the baseline. Returns the delta for span stamping
-    /// and warm-start projection (`None` on the session's first query).
+    /// (`None` on the session's first query).
     fn note_audit(&mut self, shape: &QueryShape) -> Option<AuditDelta> {
         let delta = if self.audit_primed {
             let shared_prefix = shape
@@ -1323,7 +1317,6 @@ impl SmtSession {
                 shared_prefix,
                 added,
                 removed,
-                atoms: shape.ordered.len() as u64,
             })
         } else {
             None
@@ -1352,8 +1345,7 @@ impl SmtSession {
     }
 
     /// Books a cache miss: classifies it against the forensics index, bumps
-    /// the per-cause counters, stamps the query span, and emits the per-miss
-    /// trace point.
+    /// the per-cause counters, and stamps the query span.
     fn note_miss(&mut self, shape: &QueryShape, span: &mut pins_trace::Span) {
         self.stats.cache_misses += 1;
         self.metrics.cache_misses.inc();
@@ -1383,27 +1375,6 @@ impl SmtSession {
             span.record_str("miss_cause", cause.as_str());
             if cause == MissCause::NearMiss {
                 span.record_u64("near_delta", near_delta);
-            }
-        }
-        let atoms = shape.sorted.len() as u64;
-        pins_trace::point("smt.cache.miss", || {
-            vec![
-                ("cause", cause.as_str().into()),
-                ("near_delta", near_delta.into()),
-                ("atoms", atoms.into()),
-            ]
-        });
-    }
-
-    /// Books the warm-start projection for a solved miss: the audit's upper
-    /// bound on what a warm-started theory state could have saved, assuming
-    /// savings proportional to the shared prefix.
-    fn note_warm_projection(&mut self, delta: Option<&AuditDelta>, solve_ns: u64) {
-        self.metrics.audit_solve_ns.add(solve_ns);
-        if let Some(d) = delta {
-            if d.atoms > 0 {
-                let warm = ((solve_ns as u128 * d.shared_prefix as u128) / d.atoms as u128) as u64;
-                self.metrics.audit_warm_ns.add(warm);
             }
         }
     }
@@ -1528,7 +1499,7 @@ impl SmtSession {
             None => {
                 let t0 = Instant::now();
                 let r = self.solve_and_cache(arena, assumptions, &shape, key, &mut span);
-                self.note_warm_projection(delta.as_ref(), t0.elapsed().as_nanos() as u64);
+                self.metrics.audit_solve_ns.add_duration(t0.elapsed());
                 if span.is_active() {
                     span.record("cached", false);
                     span.record_str(
@@ -1608,7 +1579,7 @@ impl SmtSession {
                 self.note_miss(&shape, &mut span);
                 let t0 = Instant::now();
                 let r = self.solve_and_cache(arena, assumptions, &shape, key, &mut span);
-                self.note_warm_projection(delta.as_ref(), t0.elapsed().as_nanos() as u64);
+                self.metrics.audit_solve_ns.add_duration(t0.elapsed());
                 (Verdict::of(&r), false)
             }
         };

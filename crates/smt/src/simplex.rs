@@ -12,7 +12,7 @@
 //! limit, cancellation, or overflow surfaces as [`Conflict::Stopped`]
 //! rather than a hang or a panic.
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use pins_budget::{Budget, StopReason};
 
@@ -80,21 +80,44 @@ struct Bound {
     reason: Reason,
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct Row {
     basic: usize,
-    /// `basic = sum coeffs[j] * x_j` over non-basic `j`.
-    coeffs: HashMap<usize, Rat>,
+    /// `basic = sum c * x` over non-basic `x`, sorted by variable, non-zero.
+    coeffs: Vec<(usize, Rat)>,
 }
 
-/// An incremental linear-integer-arithmetic solver.
+impl Row {
+    fn coeff(&self, v: usize) -> Option<Rat> {
+        self.coeffs
+            .binary_search_by_key(&v, |&(u, _)| u)
+            .ok()
+            .map(|i| self.coeffs[i].1)
+    }
+}
+
+fn remove_row(col: &mut Vec<usize>, row: usize) {
+    if let Some(p) = col.iter().position(|&r| r == row) {
+        col.swap_remove(p);
+    }
+}
+
+/// A backtrackable linear-integer-arithmetic solver.
 ///
-/// Usage: create variables, assert bounds on linear expressions (a slack
-/// variable is introduced per distinct expression), then call
-/// [`Lia::check_int`]. Bound assertions and checks return [`Conflict`]s:
-/// either infeasibility *explanations* (sets of reason tags whose bounds
-/// are jointly integer-infeasible) or an early stop.
-#[derive(Debug, Clone, Default)]
+/// Usage: create variables, take a slack variable per distinct linear
+/// expression ([`Lia::slack_for`]; its row persists), assert bounds, then
+/// call [`Lia::check`] (rational) or [`Lia::check_int`] (integer). Bound
+/// assertions are trailed: [`Lia::backtrack`] restores the bounds of an
+/// earlier [`Lia::mark`] while the assignment stays as it is — still
+/// feasible for the looser bounds — and serves as the next check's warm
+/// start. Only basic variables whose value or bounds changed are scanned
+/// for violations, and each variable keeps the list of rows it occurs in,
+/// so a pivot touches only the rows that mention the entering variable.
+///
+/// Bound assertions and checks return [`Conflict`]s: either infeasibility
+/// *explanations* (sets of reason tags whose bounds are jointly
+/// integer-infeasible) or an early stop.
+#[derive(Debug, Default)]
 pub struct Lia {
     values: Vec<Rat>,
     lower: Vec<Option<Bound>>,
@@ -102,13 +125,19 @@ pub struct Lia {
     rows: Vec<Row>,
     /// var -> row index if basic
     row_of: Vec<Option<usize>>,
+    /// var -> rows it occurs in while non-basic
+    col: Vec<Vec<usize>>,
     /// memo: normalised expression -> slack var
     slack_of: HashMap<Vec<(usize, i64)>, usize>,
-    /// inverse of `slack_of`, used for GCD bound tightening
-    expr_of_slack: HashMap<usize, Vec<(usize, i64)>>,
+    /// var -> gcd of the integer coefficients defining it (0: not a slack);
+    /// a slack's bounds round inward to multiples of it
+    gcd: Vec<u128>,
+    /// bound changes, oldest first: (var, is upper, previous bound)
+    trail: Vec<(usize, bool, Option<Bound>)>,
+    /// basic variables that may violate a bound
+    dirty: BTreeSet<usize>,
     next_marker: Reason,
-    /// Work budget charged per pivot and per branch-and-bound node. Clones
-    /// (including branch-and-bound's) share the same counters.
+    /// Work budget charged per pivot and per branch-and-bound node.
     budget: Budget,
     /// Set when branch-and-bound hit its depth budget and answered "sat"
     /// without restoring integrality; the SMT layer reports `Unknown`.
@@ -136,6 +165,8 @@ impl Lia {
         self.lower.push(None);
         self.upper.push(None);
         self.row_of.push(None);
+        self.col.push(Vec::new());
+        self.gcd.push(0);
         v
     }
 
@@ -149,6 +180,24 @@ impl Lia {
         self.values[v]
     }
 
+    /// The current bound-trail position, for [`Lia::backtrack`].
+    pub fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// Restores the bounds of `mark`. Values are kept: they satisfy the
+    /// looser bounds and warm-start the next check.
+    pub fn backtrack(&mut self, mark: usize) {
+        while self.trail.len() > mark {
+            let (v, is_upper, old) = self.trail.pop().expect("non-empty trail");
+            if is_upper {
+                self.upper[v] = old;
+            } else {
+                self.lower[v] = old;
+            }
+        }
+    }
+
     /// Returns the slack variable standing for the linear expression, creating
     /// its defining row on first use. `expr` maps variables to coefficients;
     /// it must be non-empty and is normalised by sorting.
@@ -158,82 +207,63 @@ impl Lia {
         if let Some(&s) = self.slack_of.get(&key) {
             return Ok(s);
         }
-        let s = self.new_var();
         // express the row over non-basic variables only
-        let mut coeffs: HashMap<usize, Rat> = HashMap::new();
+        let mut acc: HashMap<usize, Rat> = HashMap::new();
         for &(v, c) in &key {
             let c = Rat::from_int(c);
             if let Some(r) = self.row_of[v] {
-                for (&u, &cu) in &self.rows[r].coeffs {
-                    let e = coeffs.entry(u).or_insert(Rat::ZERO);
+                for &(u, cu) in &self.rows[r].coeffs {
+                    let e = acc.entry(u).or_insert(Rat::ZERO);
                     *e = add(*e, mul(c, cu)?)?;
                 }
             } else {
-                let e = coeffs.entry(v).or_insert(Rat::ZERO);
+                let e = acc.entry(v).or_insert(Rat::ZERO);
                 *e = add(*e, c)?;
             }
         }
-        coeffs.retain(|_, c| !c.is_zero());
+        let mut coeffs: Vec<(usize, Rat)> = acc.into_iter().filter(|(_, c)| !c.is_zero()).collect();
+        coeffs.sort_unstable_by_key(|&(u, _)| u);
         // value of the slack = current value of the expression
         let mut val = Rat::ZERO;
-        for (&u, &cu) in &coeffs {
+        for &(u, cu) in &coeffs {
             val = add(val, mul(cu, self.values[u])?)?;
         }
+        let s = self.new_var();
         self.values[s] = val;
         let row_idx = self.rows.len();
+        for &(u, _) in &coeffs {
+            self.col[u].push(row_idx);
+        }
         self.rows.push(Row { basic: s, coeffs });
         self.row_of[s] = Some(row_idx);
-        self.slack_of.insert(key.clone(), s);
-        self.expr_of_slack.insert(s, key);
+        let mut g: u128 = 0;
+        for &(_, c) in &key {
+            g = gcd_u128(g, (c as i128).unsigned_abs());
+        }
+        self.gcd[s] = g;
+        self.slack_of.insert(key, s);
         Ok(s)
     }
 
-    /// GCD-based bound tightening: a slack `s = sum c_i * x_i` over integer
-    /// variables is always a multiple of `g = gcd(c_i)`, so its bounds can be
-    /// rounded inward to multiples of `g`. Detects e.g. `2x - 2y = 1`
-    /// directly, which plain branch-and-bound diverges on.
-    fn gcd_tighten(&mut self) -> Result<(), Conflict> {
-        let mut slacks: Vec<(usize, u128)> = self
-            .expr_of_slack
-            .iter()
-            .map(|(&s, expr)| {
-                let mut g: u128 = 0;
-                for &(_, c) in expr {
-                    g = gcd_u128(g, (c as i128).unsigned_abs());
-                }
-                (s, g)
-            })
-            .collect();
-        // tightening can pivot, so its order shapes the final vertex: keep
-        // it independent of the hash map's per-process iteration order
-        slacks.sort_unstable();
-        for (s, g) in slacks {
-            if g <= 1 {
-                continue;
-            }
-            let gr = Rat::from_int128(g as i128);
-            if let Some(lb) = self.lower[s] {
-                // round up to the next multiple of g
-                let q = div(lb.value, gr)?.ceil();
-                let tight = mul(gr, Rat::from_int128(q))?;
-                if tight > lb.value {
-                    self.assert_lower(s, tight, lb.reason)?;
-                }
-            }
-            if let Some(ub) = self.upper[s] {
-                let q = div(ub.value, gr)?.floor();
-                let tight = mul(gr, Rat::from_int128(q))?;
-                if tight < ub.value {
-                    self.assert_upper(s, tight, ub.reason)?;
-                }
-            }
+    /// GCD-based tightening: a slack `s = sum c_i * x_i` over integer
+    /// variables is always a multiple of `g = gcd(c_i)`, so its bounds round
+    /// inward to multiples of `g`. Detects e.g. `2x - 2y = 1` directly,
+    /// which plain branch-and-bound diverges on.
+    fn tighten(&self, v: usize, c: Rat, upper: bool) -> Result<Rat, Conflict> {
+        let g = self.gcd[v];
+        if g <= 1 {
+            return Ok(c);
         }
-        Ok(())
+        let gr = Rat::from_int128(g as i128);
+        let q = div(c, gr)?;
+        let q = if upper { q.floor() } else { q.ceil() };
+        mul(gr, Rat::from_int128(q))
     }
 
     /// Asserts `v >= c`. On immediate conflict with the existing upper bound,
     /// returns the two reasons.
     pub fn assert_lower(&mut self, v: usize, c: Rat, reason: Reason) -> Result<(), Conflict> {
+        let c = self.tighten(v, c, false)?;
         if let Some(lb) = self.lower[v] {
             if c <= lb.value {
                 return Ok(());
@@ -244,8 +274,11 @@ impl Lia {
                 return Err(Conflict::Infeasible(vec![reason, ub.reason]));
             }
         }
+        self.trail.push((v, false, self.lower[v]));
         self.lower[v] = Some(Bound { value: c, reason });
-        if self.row_of[v].is_none() && self.values[v] < c {
+        if self.row_of[v].is_some() {
+            self.dirty.insert(v);
+        } else if self.values[v] < c {
             self.update_nonbasic(v, c)?;
         }
         Ok(())
@@ -253,6 +286,7 @@ impl Lia {
 
     /// Asserts `v <= c`.
     pub fn assert_upper(&mut self, v: usize, c: Rat, reason: Reason) -> Result<(), Conflict> {
+        let c = self.tighten(v, c, true)?;
         if let Some(ub) = self.upper[v] {
             if c >= ub.value {
                 return Ok(());
@@ -263,8 +297,11 @@ impl Lia {
                 return Err(Conflict::Infeasible(vec![reason, lb.reason]));
             }
         }
+        self.trail.push((v, true, self.upper[v]));
         self.upper[v] = Some(Bound { value: c, reason });
-        if self.row_of[v].is_none() && self.values[v] > c {
+        if self.row_of[v].is_some() {
+            self.dirty.insert(v);
+        } else if self.values[v] > c {
             self.update_nonbasic(v, c)?;
         }
         Ok(())
@@ -273,35 +310,32 @@ impl Lia {
     fn update_nonbasic(&mut self, v: usize, c: Rat) -> Result<(), Conflict> {
         let delta = sub(c, self.values[v])?;
         self.values[v] = c;
-        for i in 0..self.rows.len() {
-            if let Some(&coeff) = self.rows[i].coeffs.get(&v) {
-                let b = self.rows[i].basic;
-                self.values[b] = add(self.values[b], mul(coeff, delta)?)?;
-            }
+        for &i in &self.col[v] {
+            let row = &self.rows[i];
+            let coeff = row.coeff(v).expect("column lists match rows");
+            let b = row.basic;
+            self.values[b] = add(self.values[b], mul(coeff, delta)?)?;
+            self.dirty.insert(b);
         }
         Ok(())
     }
 
-    fn violation(&self) -> Option<(usize, bool)> {
-        // Bland's rule: smallest violating basic variable; `true` = below lower.
-        let mut best: Option<(usize, bool)> = None;
-        for row in &self.rows {
-            let b = row.basic;
-            let val = self.values[b];
-            let viol = if self.lower[b].is_some_and(|lb| val < lb.value) {
-                Some((b, true))
-            } else if self.upper[b].is_some_and(|ub| val > ub.value) {
-                Some((b, false))
-            } else {
-                None
-            };
-            if let Some(v) = viol {
-                if best.is_none_or(|(bv, _)| v.0 < bv) {
-                    best = Some(v);
+    /// Bland's rule: the smallest violating basic variable; `true` = below
+    /// its lower bound. Drops dirty entries that turn out to be in bounds.
+    fn violation(&mut self) -> Option<(usize, bool)> {
+        while let Some(&b) = self.dirty.first() {
+            if self.row_of[b].is_some() {
+                let val = self.values[b];
+                if self.lower[b].is_some_and(|lb| val < lb.value) {
+                    return Some((b, true));
+                }
+                if self.upper[b].is_some_and(|ub| val > ub.value) {
+                    return Some((b, false));
                 }
             }
+            self.dirty.pop_first();
         }
-        best
+        None
     }
 
     /// Restores the rational feasibility invariant. On infeasibility, returns
@@ -318,52 +352,32 @@ impl Lia {
             } else {
                 self.upper[xi].unwrap().value
             };
-            // find pivot column (Bland: smallest suitable non-basic var)
-            let mut pivot: Option<usize> = None;
-            {
-                let row = &self.rows[r];
-                let mut cands: Vec<usize> = row.coeffs.keys().copied().collect();
-                cands.sort_unstable();
-                for j in cands {
-                    let a = row.coeffs[&j];
-                    let suitable = if below {
-                        (a > Rat::ZERO && self.upper[j].is_none_or(|ub| self.values[j] < ub.value))
-                            || (a < Rat::ZERO
-                                && self.lower[j].is_none_or(|lb| self.values[j] > lb.value))
-                    } else {
-                        (a < Rat::ZERO && self.upper[j].is_none_or(|ub| self.values[j] < ub.value))
-                            || (a > Rat::ZERO
-                                && self.lower[j].is_none_or(|lb| self.values[j] > lb.value))
-                    };
-                    if suitable {
-                        pivot = Some(j);
-                        break;
-                    }
-                }
-            }
+            // pivot column (Bland: smallest suitable non-basic var; the row
+            // is sorted by variable)
+            let pivot = self.rows[r].coeffs.iter().find_map(|&(j, a)| {
+                let can_rise = self.upper[j].is_none_or(|ub| self.values[j] < ub.value);
+                let can_fall = self.lower[j].is_none_or(|lb| self.values[j] > lb.value);
+                let suitable = if below {
+                    (a > Rat::ZERO && can_rise) || (a < Rat::ZERO && can_fall)
+                } else {
+                    (a < Rat::ZERO && can_rise) || (a > Rat::ZERO && can_fall)
+                };
+                suitable.then_some(j)
+            });
             match pivot {
                 Some(xj) => self.pivot_and_update(r, xi, xj, target)?,
                 None => {
                     // infeasible: collect the explanation from the row
                     let mut expl = Vec::new();
-                    if below {
-                        expl.push(self.lower[xi].unwrap().reason);
-                        for (&j, &a) in &self.rows[r].coeffs {
-                            if a > Rat::ZERO {
-                                expl.push(self.upper[j].expect("bound must exist").reason);
-                            } else {
-                                expl.push(self.lower[j].expect("bound must exist").reason);
-                            }
-                        }
+                    let (own, pos, neg) = if below {
+                        (self.lower[xi], &self.upper, &self.lower)
                     } else {
-                        expl.push(self.upper[xi].unwrap().reason);
-                        for (&j, &a) in &self.rows[r].coeffs {
-                            if a > Rat::ZERO {
-                                expl.push(self.lower[j].expect("bound must exist").reason);
-                            } else {
-                                expl.push(self.upper[j].expect("bound must exist").reason);
-                            }
-                        }
+                        (self.upper[xi], &self.lower, &self.upper)
+                    };
+                    expl.push(own.unwrap().reason);
+                    for &(j, a) in &self.rows[r].coeffs {
+                        let b = if a > Rat::ZERO { pos[j] } else { neg[j] };
+                        expl.push(b.expect("bound must exist").reason);
                     }
                     expl.sort_unstable();
                     expl.dedup();
@@ -381,61 +395,95 @@ impl Lia {
         xj: usize,
         target: Rat,
     ) -> Result<(), Conflict> {
-        let a_ij = self.rows[r].coeffs[&xj];
+        let a_ij = self.rows[r].coeff(xj).expect("pivot column in row");
         let theta = div(sub(target, self.values[xi])?, a_ij)?;
         self.values[xi] = target;
-        let old_xj = self.values[xj];
-        self.values[xj] = add(old_xj, theta)?;
-        for i in 0..self.rows.len() {
-            let b = self.rows[i].basic;
-            if b != xi {
-                if let Some(&c) = self.rows[i].coeffs.get(&xj) {
-                    self.values[b] = add(self.values[b], mul(c, theta)?)?;
-                }
+        self.values[xj] = add(self.values[xj], theta)?;
+        for &i in &self.col[xj] {
+            if i != r {
+                let row = &self.rows[i];
+                let c = row.coeff(xj).expect("column lists match rows");
+                let b = row.basic;
+                self.values[b] = add(self.values[b], mul(c, theta)?)?;
+                self.dirty.insert(b);
             }
         }
         // rewrite row r: xi = a_ij * xj + rest  =>  xj = (xi - rest) / a_ij
-        let mut new_coeffs: HashMap<usize, Rat> = HashMap::new();
         let inv = a_ij.checked_recip().ok_or(OVERFLOW)?;
-        new_coeffs.insert(xi, inv);
-        let old = self.rows[r].coeffs.clone();
-        for (&k, &c) in &old {
+        let old = std::mem::take(&mut self.rows[r].coeffs);
+        let mut new_coeffs: Vec<(usize, Rat)> = Vec::with_capacity(old.len());
+        for &(k, c) in &old {
             if k != xj {
-                new_coeffs.insert(k, div(c, a_ij)?.checked_neg().ok_or(OVERFLOW)?);
+                new_coeffs.push((k, div(c, a_ij)?.checked_neg().ok_or(OVERFLOW)?));
             }
         }
-        new_coeffs.retain(|_, c| !c.is_zero());
+        let at = new_coeffs.partition_point(|&(k, _)| k < xi);
+        new_coeffs.insert(at, (xi, inv));
         self.rows[r] = Row {
             basic: xj,
             coeffs: new_coeffs,
         };
         self.row_of[xi] = None;
         self.row_of[xj] = Some(r);
-        // substitute xj in all other rows
-        let subst = self.rows[r].coeffs.clone();
-        for i in 0..self.rows.len() {
-            if i == r {
-                continue;
-            }
-            if let Some(c) = self.rows[i].coeffs.remove(&xj) {
-                for (&k, &ck) in &subst {
-                    let e = self.rows[i].coeffs.entry(k).or_insert(Rat::ZERO);
-                    *e = add(*e, mul(c, ck)?)?;
-                }
-                self.rows[i].coeffs.retain(|_, v| !v.is_zero());
+        self.col[xi].push(r);
+        // substitute xj in every other row that mentions it
+        let users = std::mem::take(&mut self.col[xj]);
+        for i in users {
+            if i != r {
+                self.substitute(i, r, xj)?;
             }
         }
+        self.dirty.insert(xj);
+        Ok(())
+    }
+
+    /// Replaces non-basic `xj` in row `i` by row `r`'s definition of it,
+    /// keeping the column lists in step.
+    fn substitute(&mut self, i: usize, r: usize, xj: usize) -> Result<(), Conflict> {
+        let mut a = std::mem::take(&mut self.rows[i].coeffs);
+        let at = a
+            .binary_search_by_key(&xj, |&(u, _)| u)
+            .expect("column lists match rows");
+        let c = a.remove(at).1;
+        let b = &self.rows[r].coeffs;
+        let mut out: Vec<(usize, Rat)> = Vec::with_capacity(a.len() + b.len());
+        let (mut p, mut q) = (0, 0);
+        while p < a.len() || q < b.len() {
+            let take_a = q == b.len() || (p < a.len() && a[p].0 < b[q].0);
+            if take_a {
+                out.push(a[p]);
+                p += 1;
+                continue;
+            }
+            let (k, ck) = b[q];
+            q += 1;
+            let scaled = mul(c, ck)?;
+            if p < a.len() && a[p].0 == k {
+                let sum = add(a[p].1, scaled)?;
+                p += 1;
+                if sum.is_zero() {
+                    remove_row(&mut self.col[k], i);
+                } else {
+                    out.push((k, sum));
+                }
+            } else if !scaled.is_zero() {
+                out.push((k, scaled));
+                self.col[k].push(i);
+            }
+        }
+        self.rows[i].coeffs = out;
         Ok(())
     }
 
     /// Checks satisfiability over the *integers* via branch-and-bound.
     ///
-    /// On success the internal assignment is integral (unless the depth
-    /// budget ran out, flagged by `int_incomplete`). On failure returns an
-    /// explanation over the caller's reason tags, or an early stop.
+    /// Each branch asserts its bound on the trail and pops it afterwards; the
+    /// assignment a successful branch leaves behind is integral and satisfies
+    /// the looser bounds too (unless the depth budget ran out, flagged by
+    /// `int_incomplete`). On failure returns an explanation over the
+    /// caller's reason tags, or an early stop.
     pub fn check_int(&mut self, max_depth: u32) -> Result<(), Conflict> {
         self.budget.charge(1).map_err(Conflict::Stopped)?;
-        self.gcd_tighten()?;
         self.check()?;
         let frac = (0..self.values.len()).find(|&v| !self.values[v].is_integer());
         let Some(x) = frac else {
@@ -448,42 +496,34 @@ impl Lia {
         let val = self.values[x];
         let marker = self.next_marker;
         self.next_marker += 1;
+        let mark = self.mark();
 
-        let mut left = self.clone();
-        let left_result = left
+        let left = self
             .assert_upper(x, Rat::from_int128(val.floor()), marker)
-            .and_then(|()| left.check_int(max_depth - 1));
-        match left_result {
-            Ok(()) => {
-                *self = left;
-                Ok(())
+            .and_then(|()| self.check_int(max_depth - 1));
+        self.backtrack(mark);
+        let e1 = match left {
+            Ok(()) => return Ok(()),
+            Err(Conflict::Stopped(s)) => return Err(Conflict::Stopped(s)),
+            Err(Conflict::Infeasible(e1)) if !e1.contains(&marker) => {
+                return Err(Conflict::Infeasible(e1)); // independent of the branch
             }
+            Err(Conflict::Infeasible(e1)) => e1,
+        };
+        let right = self
+            .assert_lower(x, Rat::from_int128(val.ceil()), marker)
+            .and_then(|()| self.check_int(max_depth - 1));
+        self.backtrack(mark);
+        match right {
+            Ok(()) => Ok(()),
             Err(Conflict::Stopped(s)) => Err(Conflict::Stopped(s)),
-            Err(Conflict::Infeasible(e1)) => {
-                if !e1.contains(&marker) {
-                    return Err(Conflict::Infeasible(e1)); // independent of the branch
-                }
-                let mut right = self.clone();
-                let right_result = right
-                    .assert_lower(x, Rat::from_int128(val.ceil()), marker)
-                    .and_then(|()| right.check_int(max_depth - 1));
-                match right_result {
-                    Ok(()) => {
-                        *self = right;
-                        Ok(())
-                    }
-                    Err(Conflict::Stopped(s)) => Err(Conflict::Stopped(s)),
-                    Err(Conflict::Infeasible(e2)) => {
-                        if !e2.contains(&marker) {
-                            return Err(Conflict::Infeasible(e2));
-                        }
-                        let mut expl: Vec<Reason> =
-                            e1.into_iter().chain(e2).filter(|&t| t != marker).collect();
-                        expl.sort_unstable();
-                        expl.dedup();
-                        Err(Conflict::Infeasible(expl))
-                    }
-                }
+            Err(Conflict::Infeasible(e2)) if !e2.contains(&marker) => Err(Conflict::Infeasible(e2)),
+            Err(Conflict::Infeasible(e2)) => {
+                let mut expl: Vec<Reason> =
+                    e1.into_iter().chain(e2).filter(|&t| t != marker).collect();
+                expl.sort_unstable();
+                expl.dedup();
+                Err(Conflict::Infeasible(expl))
             }
         }
     }
@@ -552,12 +592,15 @@ mod tests {
 
     #[test]
     fn integrality_requires_branching() {
-        // 2x = 1 has a rational solution but no integer one.
+        // 2x + 3y = 1 with x = 0 has a rational solution but no integer one
         let mut lia = Lia::new();
         let x = lia.new_var();
-        let s = lia.slack_for(&[(x, 2)]).unwrap();
+        let y = lia.new_var();
+        let s = lia.slack_for(&[(x, 2), (y, 3)]).unwrap();
         lia.assert_lower(s, r(1), 0).unwrap();
         lia.assert_upper(s, r(1), 1).unwrap();
+        lia.assert_lower(x, r(0), 2).unwrap();
+        lia.assert_upper(x, r(0), 3).unwrap();
         let e = lia.check_int(20).unwrap_err().reasons();
         assert!(!e.is_empty());
         assert!(
@@ -620,13 +663,45 @@ mod tests {
         let mut lia = Lia::new();
         lia.set_budget(Budget::with_limits(None, Some(1)));
         let x = lia.new_var();
-        let s = lia.slack_for(&[(x, 2)]).unwrap();
+        let y = lia.new_var();
+        let s = lia.slack_for(&[(x, 2), (y, 3)]).unwrap();
         lia.assert_lower(s, r(1), 0).unwrap();
         lia.assert_upper(s, r(1), 1).unwrap();
+        lia.assert_lower(x, r(0), 2).unwrap();
+        lia.assert_upper(x, r(0), 3).unwrap();
         match lia.check_int(20) {
             Err(Conflict::Stopped(StopReason::StepLimit)) => {}
             other => panic!("expected step-limit stop, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn gcd_tightening_refutes_at_assertion() {
+        // 2x = 1: the slack's bounds round inward to multiples of 2 and cross
+        let mut lia = Lia::new();
+        let x = lia.new_var();
+        let s = lia.slack_for(&[(x, 2)]).unwrap();
+        lia.assert_lower(s, r(1), 0).unwrap();
+        let e = lia.assert_upper(s, r(1), 1).unwrap_err().reasons();
+        assert_eq!(e, vec![1, 0]);
+    }
+
+    #[test]
+    fn backtrack_restores_bounds_and_keeps_a_feasible_assignment() {
+        // x + y >= 10, then x <= 3 and y <= 3 (infeasible), then back
+        let mut lia = Lia::new();
+        let x = lia.new_var();
+        let y = lia.new_var();
+        let s = lia.slack_for(&[(x, 1), (y, 1)]).unwrap();
+        lia.assert_lower(s, r(10), 0).unwrap();
+        assert!(lia.check().is_ok());
+        let mark = lia.mark();
+        lia.assert_upper(x, r(3), 1).unwrap();
+        lia.assert_upper(y, r(3), 2).unwrap();
+        assert_eq!(lia.check().unwrap_err().reasons(), vec![0, 1, 2]);
+        lia.backtrack(mark);
+        assert!(lia.check_int(20).is_ok());
+        assert!(lia.value(x) + lia.value(y) >= r(10));
     }
 
     #[test]

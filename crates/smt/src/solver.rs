@@ -1,7 +1,9 @@
-//! The DPLL(T) main loop: Tseitin CNF over theory atoms, lazy theory
-//! checking of full SAT models, lemmas on demand (array read-over-write,
-//! integer disequality splits, model-based theory combination) and
-//! conflict-driven refinement.
+//! The DPLL(T) main loop: Tseitin CNF over theory atoms, an online theory
+//! state (EUF + simplex, see [`crate::theory`]) that CDCL drives from its
+//! trail and that explains its conflicts back as clauses, and a final check
+//! at full assignments that adds lemmas on demand (array read-over-write,
+//! integer disequality splits, e-matching instances, model-based theory
+//! combination) or builds the model.
 
 use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
@@ -11,24 +13,21 @@ use pins_logic::{Sort, Term, TermArena, TermId};
 use pins_sat::{Lit, SolveResult, Solver as SatSolver, Var};
 
 use crate::ematch::{ematch_round, EmatchConfig};
-use crate::euf::Euf;
 use crate::inst::{instantiate, InstConfig};
-use crate::linear::{linearize, LinExpr};
+use crate::linear::linearize;
 use crate::model::Model;
 use crate::prep::{preprocess, Prepped};
 use crate::rational::Rat;
-use crate::simplex::{Conflict, Lia};
-
-/// Tags above this base index into the synthetic-reason table (explanations
-/// of EUF-propagated equalities); below it they are SAT literal codes.
-const SYNTH_BASE: u32 = 1 << 30;
+use crate::simplex::Lia;
+use crate::theory::{TheoryState, TheoryTimes};
 
 /// Solver configuration knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct SmtConfig {
     /// Quantifier-instantiation budget.
     pub inst: InstConfig,
-    /// Outer SAT-round budget before answering `Unknown`.
+    /// Bound on final-check rounds — CDCL searches whose full assignment
+    /// needed new lemmas or atoms — before answering `Unknown`.
     pub max_theory_rounds: usize,
     /// Branch-and-bound depth for integer feasibility.
     pub bb_depth: u32,
@@ -110,9 +109,9 @@ impl SmtResult {
 /// Counters for the instrumentation PINS reports in Table 4.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SmtStats {
-    /// SAT solver invocations.
+    /// CDCL search calls: one per final-check round.
     pub sat_rounds: u64,
-    /// Theory conflicts fed back as blocking clauses.
+    /// Theory conflicts fed back to CDCL as clauses.
     pub theory_conflicts: u64,
     /// Theory lemmas (array, diseq-split) added.
     pub lemmas: u64,
@@ -123,22 +122,23 @@ pub struct SmtStats {
     /// Time in CNF preparation: quantifier grounding, preprocessing and
     /// Tseitin encoding of the asserted formulas.
     pub prep_time: Duration,
-    /// Time inside the SAT core across all rounds.
+    /// Time inside the SAT core across all rounds, theory hooks excluded.
     pub sat_time: Duration,
-    /// Time in the EUF engine (congruence closure + array lemma scan).
+    /// Time in the EUF engine (asserting equalities, congruence closure,
+    /// disequality checks, the lemma scan of the final check).
     pub euf_time: Duration,
-    /// Time in the simplex/branch-and-bound LIA engine (including
-    /// model-based theory combination, which reads LIA values).
+    /// Time in the simplex/branch-and-bound LIA engine (bounds, EUF merges
+    /// mirrored as bounds, feasibility checks, and model-based theory
+    /// combination and model building, which read LIA values).
     pub lia_time: Duration,
     /// Time in congruence-aware e-matching rounds.
     pub ematch_time: Duration,
 }
 
+/// What the final check made of a full assignment.
 enum Outcome {
     Ok(Box<Model>),
-    Conflict(Vec<u32>),
     Progress(Vec<TermId>, Vec<TermId>),
-    Stopped(StopReason),
 }
 
 /// Bound on the iterative core-refinement passes after an assumption-level
@@ -154,10 +154,8 @@ pub struct TrackedCore {
     /// Sorted, deduplicated provenance ids whose conjunction (with the
     /// untracked asserts and axioms) is unsatisfiable.
     pub ids: Vec<u32>,
-    /// Whether the ids were extracted from conflict analysis (`true`) or
-    /// are a sound over-approximation — every tracked id — taken when the
-    /// refutation closed through a hard theory clause before the assumption
-    /// layer could attribute it (`false`).
+    /// Whether the ids were extracted from conflict analysis (`true`, every
+    /// fresh solve) or are a sound over-approximation (`false`).
     pub exact: bool,
 }
 
@@ -380,15 +378,16 @@ impl Smt {
 
     /// Maps the SAT layer's failed-assumption set back to provenance ids,
     /// after bounded iterative refinement: re-solving under only the current
-    /// core lets conflict analysis shrink it, and the persistent learnt
-    /// clauses make each pass near-free propagation in the common case.
-    fn extract_core(&mut self) -> TrackedCore {
+    /// core (modulo the theories) lets conflict analysis shrink it, and the
+    /// persistent learnt clauses make each pass near-free propagation in the
+    /// common case.
+    fn extract_core(&mut self, th: &mut TheoryState) -> TrackedCore {
         let mut core_lits = self.sat.assumption_core().to_vec();
         for _ in 0..CORE_REFINE_ROUNDS {
             if core_lits.len() <= 1 {
                 break;
             }
-            match self.sat.solve_with_assumptions(&core_lits) {
+            match self.sat.solve_with_theory(&core_lits, th) {
                 SolveResult::Unsat => {
                     let smaller = self.sat.assumption_core().to_vec();
                     if smaller.len() < core_lits.len() {
@@ -397,9 +396,13 @@ impl Smt {
                         break;
                     }
                 }
-                // interrupted (budget) or — defensively — sat: the previous
-                // core is already sound, keep it
-                _ => break,
+                // a full assignment the final check has not vetted, or a
+                // budget stop: the previous core is already sound, keep it
+                SolveResult::Sat => {
+                    self.sat.backtrack_theory(th);
+                    break;
+                }
+                SolveResult::Interrupted(_) => break,
             }
         }
         let mut ids: Vec<u32> = core_lits
@@ -415,16 +418,6 @@ impl Smt {
         ids.sort_unstable();
         ids.dedup();
         TrackedCore { ids, exact: true }
-    }
-
-    /// Every tracked id: the sound over-approximation recorded when a hard
-    /// theory clause closed the refutation below the assumption layer.
-    fn fallback_core(&self) -> TrackedCore {
-        let mut ids: Vec<u32> = self.selectors.iter().map(|&(p, _)| p).collect();
-        ids.extend(self.forced_core.iter().copied());
-        ids.sort_unstable();
-        ids.dedup();
-        TrackedCore { ids, exact: false }
     }
 
     /// Runs the decision procedure.
@@ -467,6 +460,13 @@ impl Smt {
                 self.stats.instances.saturating_sub(before.instances),
             );
             span.record_u64("formula_size", self.stats.formula_size as u64);
+            let us = |now: Duration, then: Duration| now.saturating_sub(then).as_micros() as u64;
+            let (now, then) = (&self.stats, &before);
+            span.record_u64("prep_us", us(now.prep_time, then.prep_time));
+            span.record_u64("sat_us", us(now.sat_time, then.sat_time));
+            span.record_u64("euf_us", us(now.euf_time, then.euf_time));
+            span.record_u64("lia_us", us(now.lia_time, then.lia_time));
+            span.record_u64("ematch_us", us(now.ematch_time, then.ematch_time));
         }
         result
     }
@@ -512,74 +512,55 @@ impl Smt {
             }
         }
         let sels: Vec<Lit> = self.selectors.iter().map(|&(_, l)| l).collect();
+        // the theory state lives for this check: atoms are compiled once,
+        // and lemma rounds only add to it
+        let mut th = TheoryState::new(budget.clone(), self.config.bb_depth);
+        th.record_atoms(arena, &self.var_atoms);
         self.stats.prep_time += t_prep.elapsed();
 
+        let result = self.search_rounds(arena, &mut th, &sels, budget);
+        self.stats.formula_size = self.sat.formula_size();
+        result
+    }
+
+    /// The final-check rounds of [`Smt::check`]: each runs one CDCL search
+    /// modulo the theory state; a full assignment the final check extends
+    /// with lemmas or atoms starts the next round.
+    fn search_rounds(
+        &mut self,
+        arena: &mut TermArena,
+        th: &mut TheoryState,
+        sels: &[Lit],
+        budget: &Budget,
+    ) -> SmtResult {
+        let mut recorded = self.var_atoms.len();
         for _round in 0..self.config.max_theory_rounds {
             if let Err(reason) = budget.charge(1) {
-                self.stats.formula_size = self.sat.formula_size();
                 return SmtResult::Unknown(reason);
             }
             self.stats.sat_rounds += 1;
+            let before = th.times;
             let t_sat = Instant::now();
-            let sat_verdict = self.sat.solve_with_assumptions(&sels);
-            self.stats.sat_time += t_sat.elapsed();
+            let sat_verdict = self.sat.solve_with_theory(sels, th);
+            let spent = t_sat.elapsed();
+            self.note_theory(before, th.times, spent);
             match sat_verdict {
                 SolveResult::Unsat => {
-                    if track {
-                        self.last_core = Some(self.extract_core());
+                    if self.config.track_cores {
+                        self.last_core = Some(self.extract_core(th));
                     }
-                    self.stats.formula_size = self.sat.formula_size();
                     return SmtResult::Unsat;
                 }
-                SolveResult::Interrupted(reason) => {
-                    self.stats.formula_size = self.sat.formula_size();
-                    return SmtResult::Unknown(reason);
-                }
-                SolveResult::Sat => {
-                    let assignment: Vec<(TermId, bool, Lit)> = self
-                        .var_atoms
-                        .iter()
-                        .map(|&(t, v)| {
-                            let val = self.sat.value(v).unwrap_or(false);
-                            (t, val, Lit::new(v, val))
-                        })
-                        .collect();
-                    match self.theory_check(arena, &assignment, budget) {
-                        Outcome::Stopped(reason) => {
-                            self.stats.formula_size = self.sat.formula_size();
-                            return SmtResult::Unknown(reason);
-                        }
-                        Outcome::Ok(mut model) => {
-                            model.complete = model.complete && self.exact;
-                            self.stats.formula_size = self.sat.formula_size();
-                            return SmtResult::Sat(*model);
-                        }
-                        Outcome::Conflict(tags) => {
-                            self.stats.theory_conflicts += 1;
-                            // timeline sample: every 16th theory conflict
-                            if self.stats.theory_conflicts & 0xF == 1 {
-                                pins_trace::point("smt.theory_conflict", || {
-                                    vec![
-                                        ("count", self.stats.theory_conflicts.into()),
-                                        ("atoms", (tags.len() as u64).into()),
-                                    ]
-                                });
-                            }
-                            let blocking: Vec<Lit> =
-                                tags.iter().map(|&t| !Lit::from_code(t)).collect();
-                            if !self.sat.add_clause(&blocking) {
-                                if track {
-                                    // the refutation closed through a hard
-                                    // clause at level 0: attribute it to
-                                    // every tracked assert (sound, inexact)
-                                    self.last_core = Some(self.fallback_core());
-                                }
-                                self.stats.formula_size = self.sat.formula_size();
-                                return SmtResult::Unsat;
-                            }
-                        }
-                        Outcome::Progress(lemmas, atoms) => {
-                            self.stats.lemmas += lemmas.len() as u64;
+                SolveResult::Interrupted(reason) => return SmtResult::Unknown(reason),
+                SolveResult::Sat => match self.final_stage(arena, th, budget) {
+                    Outcome::Ok(mut model) => {
+                        model.complete = model.complete && self.exact;
+                        return SmtResult::Sat(*model);
+                    }
+                    Outcome::Progress(lemmas, atoms) => {
+                        self.stats.lemmas += lemmas.len() as u64;
+                        // timeline sample: every 16th lemma round of a check
+                        if self.stats.sat_rounds & 0xF == 0 {
                             pins_trace::point("smt.lemma", || {
                                 vec![
                                     ("count", (lemmas.len() as u64).into()),
@@ -587,96 +568,74 @@ impl Smt {
                                     ("total", self.stats.lemmas.into()),
                                 ]
                             });
-                            for lem in lemmas {
-                                self.assert_root(arena, lem);
-                            }
-                            for a in atoms {
-                                let _ = self.atom_lit(a); // register; SAT decides it
-                            }
                         }
+                        self.sat.backtrack_theory(th);
+                        for lem in lemmas {
+                            self.assert_root(arena, lem);
+                        }
+                        for a in atoms {
+                            let _ = self.atom_lit(a); // register; SAT decides it
+                        }
+                        let t_rec = Instant::now();
+                        th.record_atoms(arena, &self.var_atoms[recorded..]);
+                        recorded = self.var_atoms.len();
+                        self.stats.prep_time += t_rec.elapsed();
                     }
-                }
+                },
             }
         }
-        self.stats.formula_size = self.sat.formula_size();
         SmtResult::Unknown(StopReason::StepLimit)
     }
 
-    /// Validates one full SAT model against the theories.
-    fn theory_check(
+    /// Books one search's time: the theory hooks' share goes to EUF/LIA,
+    /// the rest to SAT; samples the theory-conflict timeline.
+    fn note_theory(&mut self, before: TheoryTimes, after: TheoryTimes, spent: Duration) {
+        let euf = after.euf - before.euf;
+        let lia = after.lia - before.lia;
+        self.stats.euf_time += euf;
+        self.stats.lia_time += lia;
+        self.stats.sat_time += spent.saturating_sub(euf + lia);
+        for _ in before.conflicts..after.conflicts {
+            self.stats.theory_conflicts += 1;
+            // timeline sample: every 16th theory conflict of a check
+            if self.stats.theory_conflicts & 0xF == 0 {
+                pins_trace::point("smt.theory_conflict", || {
+                    vec![("count", self.stats.theory_conflicts.into())]
+                });
+            }
+        }
+    }
+
+    /// The final check on a full assignment the theory state accepted:
+    /// lemmas first (integer disequality splits, array read-over-write),
+    /// then e-matching instances, then model-based theory combination; with
+    /// nothing left to add, the model.
+    fn final_stage(
         &mut self,
         arena: &mut TermArena,
-        assignment: &[(TermId, bool, Lit)],
+        th: &mut TheoryState,
         budget: &Budget,
     ) -> Outcome {
         let t_euf = Instant::now();
-        let mut euf = Euf::new();
         let mut lemmas: Vec<TermId> = Vec::new();
-        // lemmas are marked as emitted only when actually returned; a theory
-        // conflict in this round must not swallow them for future rounds
-        let mut pending_splits: Vec<TermId> = Vec::new();
-        let tt = arena.mk_true();
-
-        // ---- EUF pass -----------------------------------------------------
-        for &(atom, value, lit) in assignment {
-            let tag = lit.code();
-            match arena.term(atom).clone() {
-                Term::Eq(a, b) if !arena.sort(a).is_bool() => {
-                    if value {
-                        euf.assert_eq(arena, a, b, tag);
-                    } else {
-                        euf.assert_neq(arena, a, b, tag);
-                        if arena.sort(a).is_int() && !self.diseq_split.contains(&atom) {
-                            // integer disequality split: !(a=b) => a<b \/ b<a
-                            let lt1 = arena.mk_lt(a, b);
-                            let lt2 = arena.mk_lt(b, a);
-                            let lemma = arena.mk_or(vec![atom, lt1, lt2]);
-                            lemmas.push(lemma);
-                            pending_splits.push(atom);
-                        }
-                    }
+        // ---- integer disequality splits: !(a=b) => a<b \/ b<a -------------
+        for &(atom, v) in &self.var_atoms {
+            if self.sat.value(v) != Some(false) {
+                continue;
+            }
+            if let Term::Eq(a, b) = *arena.term(atom) {
+                if arena.sort(a).is_int() && self.diseq_split.insert(atom) {
+                    let lt1 = arena.mk_lt(a, b);
+                    let lt2 = arena.mk_lt(b, a);
+                    lemmas.push(arena.mk_or(vec![atom, lt1, lt2]));
                 }
-                Term::App(..) if arena.sort(atom).is_bool() => {
-                    if value {
-                        euf.assert_eq(arena, atom, tt, tag);
-                    } else {
-                        euf.assert_neq(arena, atom, tt, tag);
-                    }
-                }
-                Term::Le(a, b) | Term::Lt(a, b) => {
-                    // register operands so congruence sees their subterms
-                    euf.add_term(arena, a);
-                    euf.add_term(arena, b);
-                }
-                _ => {}
             }
         }
-        if let Err(tags) = euf.check() {
-            // the pending split lemmas are intentionally NOT marked done:
-            // they were not asserted and must be re-generated next time
-            self.stats.euf_time += t_euf.elapsed();
-            return Outcome::Conflict(tags);
-        }
-        self.diseq_split.extend(pending_splits);
-
         // ---- array lemmas on demand ----------------------------------------
-        let class_terms = euf.class_of_terms();
-        let mut sels: Vec<(TermId, TermId, TermId)> = Vec::new();
-        let mut upds: Vec<(TermId, TermId, TermId, TermId)> = Vec::new();
-        for &(t, _) in &class_terms {
-            match arena.term(t) {
-                Term::Sel(a, i) => sels.push((t, *a, *i)),
-                Term::Upd(b, j, v) => upds.push((t, *b, *j, *v)),
-                _ => {}
-            }
-        }
-        for &(s, a, i) in &sels {
-            let ra = euf.root_of(a);
-            for &(u, b, j, v) in &upds {
-                if euf.root_of(u) != ra {
-                    continue;
-                }
-                if !self.array_done.insert((s, u)) {
+        for &(s, a, i) in &th.sels {
+            let ra = th.euf.root_of(a);
+            for &(u, b, j, v) in &th.upds {
+                if th.euf.root_of(u) != ra || !self.array_done.insert((s, u)) {
                     continue;
                 }
                 let guard = arena.mk_eq(a, u);
@@ -705,7 +664,7 @@ impl Smt {
             let axioms = self.axioms.clone();
             let new_instances = ematch_round(
                 arena,
-                &mut euf,
+                &th.euf,
                 &axioms,
                 &mut self.ematch_done,
                 self.ematch_count,
@@ -739,181 +698,16 @@ impl Smt {
         }
 
         let t_lia = Instant::now();
-        let out = self.lia_and_model(arena, assignment, &mut euf, &class_terms, &sels, budget);
+        let out = self.combine_and_model(arena, th);
         self.stats.lia_time += t_lia.elapsed();
         out
     }
 
-    /// The arithmetic back half of [`Smt::theory_check`]: the simplex/LIA
-    /// pass, model-based theory combination, and model construction. Split
-    /// out so the caller can attribute its time to the simplex accumulator.
-    fn lia_and_model(
-        &mut self,
-        arena: &mut TermArena,
-        assignment: &[(TermId, bool, Lit)],
-        euf: &mut Euf,
-        class_terms: &[(TermId, u32)],
-        sels: &[(TermId, TermId, TermId)],
-        budget: &Budget,
-    ) -> Outcome {
-        // ---- LIA pass -------------------------------------------------------
-        let mut lia = Lia::new();
-        lia.set_budget(budget.clone());
-        let mut lvar: HashMap<TermId, usize> = HashMap::new();
-        let mut synth: Vec<Vec<u32>> = Vec::new();
-        let expand = |tags: Vec<u32>, synth: &Vec<Vec<u32>>| -> Vec<u32> {
-            let mut out = Vec::new();
-            for t in tags {
-                if t >= SYNTH_BASE {
-                    out.extend(synth[(t - SYNTH_BASE) as usize].iter().copied());
-                } else {
-                    out.push(t);
-                }
-            }
-            out.sort_unstable();
-            out.dedup();
-            out
-        };
-
-        let assert_le = |lia: &mut Lia,
-                         lvar: &mut HashMap<TermId, usize>,
-                         expr: &LinExpr,
-                         rhs: i64,
-                         reason: u32|
-         -> Result<(), Conflict> {
-            // a linearization that overflowed i64 has unreliable numbers:
-            // degrade the whole query rather than assert garbage bounds
-            if expr.overflowed {
-                return Err(Conflict::Stopped(StopReason::Overflow));
-            }
-            // expr <= rhs  (expr's own constant is folded into the bound)
-            if expr.coeffs.is_empty() {
-                if expr.constant <= rhs {
-                    Ok(())
-                } else {
-                    Err(Conflict::Infeasible(vec![reason]))
-                }
-            } else {
-                let terms: Vec<(usize, i64)> = expr
-                    .coeffs
-                    .iter()
-                    .map(|(&t, &c)| {
-                        let v = *lvar.entry(t).or_insert_with(|| lia.new_var());
-                        (v, c)
-                    })
-                    .collect();
-                let s = lia.slack_for(&terms)?;
-                let bound = (rhs as i128) - (expr.constant as i128);
-                lia.assert_upper(s, Rat::from_int128(bound), reason)
-            }
-        };
-
-        for &(atom, value, lit) in assignment {
-            let tag = lit.code();
-            let result = match arena.term(atom).clone() {
-                Term::Le(a, b) => {
-                    let mut e = linearize(arena, a);
-                    e.sub_assign(&linearize(arena, b));
-                    if value {
-                        assert_le(&mut lia, &mut lvar, &e, 0, tag)
-                    } else {
-                        let mut ne = LinExpr::default();
-                        ne.sub_assign(&e);
-                        assert_le(&mut lia, &mut lvar, &ne, -1, tag)
-                    }
-                }
-                Term::Lt(a, b) => {
-                    let mut e = linearize(arena, a);
-                    e.sub_assign(&linearize(arena, b));
-                    if value {
-                        assert_le(&mut lia, &mut lvar, &e, -1, tag)
-                    } else {
-                        let mut ne = LinExpr::default();
-                        ne.sub_assign(&e);
-                        assert_le(&mut lia, &mut lvar, &ne, 0, tag)
-                    }
-                }
-                Term::Eq(a, b) if arena.sort(a).is_int() => {
-                    if value {
-                        let mut e = linearize(arena, a);
-                        e.sub_assign(&linearize(arena, b));
-                        assert_le(&mut lia, &mut lvar, &e, 0, tag).and_then(|()| {
-                            let mut ne = LinExpr::default();
-                            ne.sub_assign(&e);
-                            assert_le(&mut lia, &mut lvar, &ne, 0, tag)
-                        })
-                    } else {
-                        Ok(()) // handled by the split lemma + EUF
-                    }
-                }
-                _ => Ok(()),
-            };
-            match result {
-                Ok(()) => {}
-                Err(Conflict::Infeasible(tags)) => {
-                    return Outcome::Conflict(expand(tags, &synth));
-                }
-                Err(Conflict::Stopped(reason)) => return Outcome::Stopped(reason),
-            }
-        }
-
-        // EUF -> LIA equality propagation: merge arithmetic views of
-        // congruent integer terms.
-        // assert the merges in a fixed root order: assertion order shapes
-        // slack creation and pivoting, so hash-map order would make the
-        // model depend on the process. First-appearance order in
-        // `class_terms` keeps the merges adjacent to the assertions that
-        // produced the classes.
-        let mut by_root: HashMap<u32, Vec<TermId>> = HashMap::new();
-        let mut roots: Vec<u32> = Vec::new();
-        for &(t, root) in class_terms {
-            if arena.sort(t).is_int() {
-                let members = by_root.entry(root).or_default();
-                if members.is_empty() {
-                    roots.push(root);
-                }
-                members.push(t);
-            }
-        }
-        for root in roots {
-            let members = &by_root[&root];
-            if members.len() < 2 {
-                continue;
-            }
-            let pivot = members[0];
-            let lp = linearize(arena, pivot);
-            for &m in &members[1..] {
-                let mut e = lp.clone();
-                e.sub_assign(&linearize(arena, m));
-                if e.coeffs.is_empty() && e.constant == 0 {
-                    continue;
-                }
-                let tags = euf.explain_terms(pivot, m);
-                let reason = SYNTH_BASE + synth.len() as u32;
-                synth.push(tags);
-                let r = assert_le(&mut lia, &mut lvar, &e, 0, reason).and_then(|()| {
-                    let mut ne = LinExpr::default();
-                    ne.sub_assign(&e);
-                    assert_le(&mut lia, &mut lvar, &ne, 0, reason)
-                });
-                match r {
-                    Ok(()) => {}
-                    Err(Conflict::Infeasible(tags)) => {
-                        return Outcome::Conflict(expand(tags, &synth));
-                    }
-                    Err(Conflict::Stopped(reason)) => return Outcome::Stopped(reason),
-                }
-            }
-        }
-
-        match lia.check_int(self.config.bb_depth) {
-            Ok(()) => {}
-            Err(Conflict::Infeasible(tags)) => return Outcome::Conflict(expand(tags, &synth)),
-            Err(Conflict::Stopped(reason)) => return Outcome::Stopped(reason),
-        }
-        let int_exact = !lia.int_incomplete;
-
-        // ---- model-based theory combination ---------------------------------
+    /// Model-based theory combination, then model construction, on the
+    /// live state's integral simplex assignment.
+    fn combine_and_model(&mut self, arena: &mut TermArena, th: &TheoryState) -> Outcome {
+        let (euf, lia, lvar) = (&th.euf, &th.lia, &th.lvar);
+        let class_terms = euf.class_of_terms();
         // integer terms under uninterpreted/array operators whose LIA values
         // coincide but whose EUF classes differ get a fresh equality atom.
         // The kids need not be opaque `lvar` atoms: `f(x)` with `x = 2` must
@@ -933,12 +727,12 @@ impl Smt {
             let mut seen = HashSet::new();
             let mut add = |arena: &TermArena, slot: u64, k: TermId, seen: &mut HashSet<_>| {
                 if arena.sort(k).is_int() && seen.insert((slot, k)) {
-                    if let Some(v) = eval_int(arena, k, &lvar, &lia) {
+                    if let Some(v) = eval_int(arena, k, lvar, lia) {
                         shared.push((slot, v, k));
                     }
                 }
             };
-            for &(t, _) in class_terms {
+            for &(t, _) in &class_terms {
                 match arena.term(t) {
                     Term::App(f, args) => {
                         let (f, args) = (*f, args.clone());
@@ -985,10 +779,10 @@ impl Smt {
 
         // ---- build the model -------------------------------------------------
         let mut model = Model {
-            complete: int_exact,
+            complete: !th.int_incomplete,
             ..Default::default()
         };
-        for (&t, &v) in &lvar {
+        for (&t, &v) in lvar {
             if let Some(val) = lia.value(v).to_i64() {
                 model.ints.insert(t, val);
             } else {
@@ -1007,10 +801,7 @@ impl Smt {
             if let Term::Mul(a, b) = arena.term(t) {
                 let (a, b) = (*a, *b);
                 let got = model.ints.get(&t).copied();
-                let product = match (
-                    eval_lin(arena, a, &lvar, &lia),
-                    eval_lin(arena, b, &lvar, &lia),
-                ) {
+                let product = match (eval_lin(arena, a, lvar, lia), eval_lin(arena, b, lvar, lia)) {
                     (Some(va), Some(vb)) => va.checked_mul(vb),
                     _ => None,
                 };
@@ -1019,20 +810,20 @@ impl Smt {
                 }
             }
         }
-        for &(atom, value, _) in assignment {
-            model.bools.insert(atom, value);
+        for &(atom, v) in &self.var_atoms {
+            model.bools.insert(atom, self.sat.value(v).unwrap_or(false));
         }
         // array contents: group sel values under each array-variable class
         let mut arrays: HashMap<u32, Vec<(i64, i64)>> = HashMap::new();
-        for &(s, a, i) in sels {
+        for &(s, a, i) in &th.sels {
             if let (Some(root), Some(&sv)) = (euf.root_of(a), lvar.get(&s)) {
-                let idx = eval_lin(arena, i, &lvar, &lia);
+                let idx = eval_lin(arena, i, lvar, lia);
                 if let (Some(idx), Some(val)) = (idx, lia.value(sv).to_i64()) {
                     arrays.entry(root).or_default().push((idx, val));
                 }
             }
         }
-        for &(t, root) in class_terms {
+        for &(t, root) in &class_terms {
             if arena.sort(t).is_array() && matches!(arena.term(t), Term::Var { .. }) {
                 if let Some(entries) = arrays.get(&root) {
                     let mut e = entries.clone();
@@ -1042,7 +833,7 @@ impl Smt {
                 }
             }
         }
-        for &(t, root) in class_terms {
+        for &(t, root) in &class_terms {
             if matches!(arena.sort(t), Sort::Unint(_)) {
                 model.unints.insert(t, root as u64);
             }

@@ -131,29 +131,33 @@ fn escape_json_into(out: &mut String, s: &str) {
 impl Event {
     /// Renders the event as a single JSON object (no trailing newline).
     pub fn to_json(&self) -> String {
-        let mut s = String::with_capacity(128);
-        s.push_str("{\"seq\":");
-        s.push_str(&self.seq.to_string());
-        s.push_str(",\"t_us\":");
-        s.push_str(&self.t_us.to_string());
-        s.push_str(",\"thread\":");
-        s.push_str(&self.thread.to_string());
-        s.push_str(",\"kind\":\"");
-        s.push_str(self.kind.tag());
-        s.push_str("\",\"name\":\"");
-        escape_json_into(&mut s, self.name);
+        let mut s = String::with_capacity(256);
+        self.write_json(&mut s);
+        s
+    }
+
+    /// Appends the event's JSON object to `s`. Numbers are formatted in
+    /// place, so an event costs no allocation beyond `s` growing.
+    fn write_json(&self, s: &mut String) {
+        use std::fmt::Write as _;
+        let _ = write!(
+            s,
+            "{{\"seq\":{},\"t_us\":{},\"thread\":{},\"kind\":\"{}\",\"name\":\"",
+            self.seq,
+            self.t_us,
+            self.thread,
+            self.kind.tag()
+        );
+        escape_json_into(s, self.name);
         s.push('"');
         if self.span != 0 {
-            s.push_str(",\"span\":");
-            s.push_str(&self.span.to_string());
+            let _ = write!(s, ",\"span\":{}", self.span);
         }
         if self.parent != 0 {
-            s.push_str(",\"parent\":");
-            s.push_str(&self.parent.to_string());
+            let _ = write!(s, ",\"parent\":{}", self.parent);
         }
         if let Some(d) = self.dur_us {
-            s.push_str(",\"dur_us\":");
-            s.push_str(&d.to_string());
+            let _ = write!(s, ",\"dur_us\":{d}");
         }
         if !self.fields.is_empty() {
             s.push_str(",\"fields\":{");
@@ -162,25 +166,25 @@ impl Event {
                     s.push(',');
                 }
                 s.push('"');
-                escape_json_into(&mut s, k);
+                escape_json_into(s, k);
                 s.push_str("\":");
-                match v {
-                    FieldValue::U64(n) => s.push_str(&n.to_string()),
-                    FieldValue::I64(n) => s.push_str(&n.to_string()),
-                    FieldValue::F64(f) if f.is_finite() => s.push_str(&format!("{f}")),
-                    FieldValue::F64(_) => s.push_str("null"),
-                    FieldValue::Bool(b) => s.push_str(if *b { "true" } else { "false" }),
+                let _ = match v {
+                    FieldValue::U64(n) => write!(s, "{n}"),
+                    FieldValue::I64(n) => write!(s, "{n}"),
+                    FieldValue::F64(f) if f.is_finite() => write!(s, "{f}"),
+                    FieldValue::F64(_) => write!(s, "null"),
+                    FieldValue::Bool(b) => write!(s, "{b}"),
                     FieldValue::Str(t) => {
                         s.push('"');
-                        escape_json_into(&mut s, t);
+                        escape_json_into(s, t);
                         s.push('"');
+                        Ok(())
                     }
-                }
+                };
             }
             s.push('}');
         }
         s.push('}');
-        s
     }
 }
 
@@ -293,11 +297,21 @@ impl Recorder {
                 buf.push_back(event);
             }
             SinkImpl::Jsonl { out } => {
-                let mut line = event.to_json();
-                line.push('\n');
+                thread_local! {
+                    static LINE: std::cell::RefCell<String> = const {
+                        std::cell::RefCell::new(String::new())
+                    };
+                }
                 let mut out = out.lock().unwrap();
+                let written = LINE.with(|line| {
+                    let mut line = line.borrow_mut();
+                    line.clear();
+                    event.write_json(&mut line);
+                    line.push('\n');
+                    out.write_all(line.as_bytes())
+                });
                 // a broken pipe must not take down the solver; drop the event
-                if out.write_all(line.as_bytes()).is_err() {
+                if written.is_err() {
                     self.core.dropped.fetch_add(1, Ordering::Relaxed);
                 }
             }

@@ -78,7 +78,8 @@ fn open_span(name: &'static str) -> Span {
         parent,
         name,
         start: Some(Instant::now()),
-        fields: Vec::new(),
+        // room for a solver span's fields without regrowing
+        fields: Vec::with_capacity(16),
     }
 }
 
