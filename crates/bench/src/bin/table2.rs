@@ -1,5 +1,6 @@
 //! Regenerates Table 2: PINS performance (search space, solutions,
-//! iterations, time, |SAT|).
+//! iterations, time, |SAT|). A `*` after the solution count marks a run
+//! cut off by a budget before its solution set stabilized.
 
 use pins_bench::{init, paper, run_pins, secs, slug};
 use pins_suite::benchmark;
@@ -23,7 +24,12 @@ fn main() {
                     "{:<14} {:>9} {:>5} {:>6} {:>10} {:>7}   ({paper_str})",
                     b.name(),
                     format!("2^{:.0}", outcome.search_space_log2),
-                    outcome.solutions.len(),
+                    // `*`: cut off (a step or time budget) before stabilizing
+                    format!(
+                        "{}{}",
+                        outcome.solutions.len(),
+                        if outcome.converged { "" } else { "*" }
+                    ),
                     outcome.iterations,
                     secs(outcome.total_time),
                     outcome.sat_size,

@@ -92,6 +92,19 @@ fn main() {
             }
             Err(e) => println!("{:<14} {e}   ({paper_str})", b.name()),
         }
+        // read from the registry, so unsolved runs report it too
+        let sliced = metrics.get("slice.constraints");
+        let narrowed = metrics.get("slice.narrowed");
+        println!(
+            "{:<14} slice {} constraints -> {} parts, {} narrowed ({:.0}%), \
+             {} duplicates skipped",
+            "",
+            sliced,
+            metrics.get("slice.parts"),
+            narrowed,
+            100.0 * narrowed as f64 / sliced.max(1) as f64,
+            metrics.get("slice.duplicates"),
+        );
     }
     if args.profile {
         println!("\n--- profile (per-phase wall clock) ---");

@@ -235,3 +235,25 @@ pub fn expr_vars(e: &Expr, out: &mut Vec<VarId>) {
         }
     }
 }
+
+/// The predicate twin of [`expr_vars`]: all variables mentioned by `p`.
+pub(crate) fn pred_vars(p: &Pred, out: &mut Vec<VarId>) {
+    match p {
+        Pred::Bool(_) | Pred::Star | Pred::Hole(_) => {}
+        Pred::Cmp(_, a, b) => {
+            expr_vars(a, out);
+            expr_vars(b, out);
+        }
+        Pred::And(items) | Pred::Or(items) => {
+            for q in items {
+                pred_vars(q, out);
+            }
+        }
+        Pred::Not(q) => pred_vars(q, out),
+        Pred::Call(_, args) => {
+            for a in args {
+                expr_vars(a, out);
+            }
+        }
+    }
+}

@@ -5,24 +5,22 @@ use std::time::{Duration, Instant};
 
 use pins_budget::Budget;
 use pins_ir::{Expr, Pred, Program, Stmt, Value};
-use pins_logic::{collect_subterms, Term, TermId};
+use pins_logic::TermId;
 use pins_prng::SplitMix64;
 use pins_smt::{SmtConfig, SmtResult, SmtSession};
-use pins_symexec::{
-    apply_filler_term, ExploreConfig, Explorer, HoleKind, MapFiller, PathResult, SymCtx,
-};
+use pins_symexec::{apply_filler_term, ExploreConfig, Explorer, MapFiller, PathResult, SymCtx};
 use pins_trace::{MetricsRegistry, Phase, ProvenanceCtx};
 
 use crate::constraints::{
-    init_constraints, safepath_constraint, terminate_constraints, Constraint,
+    init_constraints, safepath_constraint, terminate_constraints, Constraint, HoleSet, Slicer,
 };
 use crate::domains::{build_domains, DomainConfig, HoleDomains};
 use crate::session::Session;
-use crate::solve::{HoleSolver, Solution};
+use crate::solve::{restrict, HoleSolver, RestrictedKey, Solution};
 
 /// `pickOne` memo: a path's substituted key plus the solution's choices for
 /// the holes that path mentions, mapped to "is this path infeasible under S".
-type InfeasibleCache = HashMap<(TermId, Vec<(bool, u32, usize)>), bool>;
+type InfeasibleCache = HashMap<(TermId, RestrictedKey), bool>;
 
 /// PINS configuration.
 #[derive(Debug, Clone)]
@@ -366,13 +364,18 @@ impl Pins {
                 include_true_invariant: true,
             },
         );
-        let mut constraints: Vec<Constraint> = terminate_constraints(session, &domains, &mut ctx);
+        // every constraint reaches the solver as the parts the slicer cuts
+        let mut slicer = Slicer::new(&domains);
+        slicer.bind_metrics(metrics);
+        let mut constraints: Vec<Constraint> = Vec::new();
+        let termination = terminate_constraints(session, &domains, &mut ctx);
+        slicer.add(&mut ctx, termination, &mut constraints);
         let mut solver = HoleSolver::new(&domains);
         solver.bind_metrics(metrics);
 
         let mut explored: HashSet<TermId> = HashSet::new();
         let mut paths: Vec<PathResult> = Vec::new();
-        let mut path_holes: Vec<Vec<(bool, u32)>> = Vec::new(); // holes per path
+        let mut path_holes: Vec<HoleSet> = Vec::new(); // holes per path
         let mut infeasible_cache: InfeasibleCache = HashMap::new();
 
         let mut last_size = usize::MAX;
@@ -523,16 +526,13 @@ impl Pins {
                 ));
             };
             explored.insert(path.key);
-            path_holes.push(holes_in_terms(&ctx, &path.conjuncts));
+            path_holes.push(HoleSet::of(&ctx, path.conjuncts.iter().copied()));
 
             // extend the constraint system
-            constraints.push(safepath_constraint(
-                session,
-                &session.spec.clone(),
-                &mut ctx,
-                &path,
-            ));
-            constraints.extend(init_constraints(session, &domains, &mut ctx, &path));
+            let safe = safepath_constraint(session, &session.spec, &mut ctx, &path);
+            slicer.add(&mut ctx, [safe], &mut constraints);
+            let init = init_constraints(session, &domains, &mut ctx, &path);
+            slicer.add(&mut ctx, init, &mut constraints);
             paths.push(path);
             iterations += 1;
         }
@@ -550,7 +550,7 @@ impl Pins {
         smt: &mut SmtSession,
         sols: &[Solution],
         paths: &[PathResult],
-        path_holes: &[Vec<(bool, u32)>],
+        path_holes: &[HoleSet],
         cache: &mut InfeasibleCache,
         rng: &mut SplitMix64,
     ) -> usize {
@@ -561,17 +561,7 @@ impl Pins {
             let mut count = 0i64;
             for (p, path) in paths.iter().enumerate() {
                 prov.set_path(p as u64 + 1);
-                let key: Vec<(bool, u32, usize)> = path_holes[p]
-                    .iter()
-                    .map(|&(is_expr, h)| {
-                        let choice = if is_expr {
-                            s.exprs[h as usize]
-                        } else {
-                            s.preds[h as usize]
-                        };
-                        (is_expr, h, choice)
-                    })
-                    .collect();
+                let key = restrict(&path_holes[p], s);
                 let infeasible = if let Some(&v) = cache.get(&(path.key, key.clone())) {
                     v
                 } else {
@@ -647,31 +637,6 @@ impl Pins {
             search_space_log2: domains.paper_search_space_log2,
         }
     }
-}
-
-/// Collects the holes appearing in a set of terms.
-fn holes_in_terms(ctx: &SymCtx, terms: &[TermId]) -> Vec<(bool, u32)> {
-    let mut subs = HashSet::new();
-    for &t in terms {
-        collect_subterms(&ctx.arena, t, &mut subs);
-    }
-    let mut out = HashSet::new();
-    for s in subs {
-        if let Term::Hole(occ, _) = ctx.arena.term(s) {
-            let occ = *occ;
-            match ctx.occurrence(occ).kind {
-                HoleKind::Expr(e) => {
-                    out.insert((true, e.0));
-                }
-                HoleKind::Pred(p) => {
-                    out.insert((false, p.0));
-                }
-            }
-        }
-    }
-    let mut v: Vec<(bool, u32)> = out.into_iter().collect();
-    v.sort_unstable();
-    v
 }
 
 /// Renders a solution as an inverse program: the template part of the

@@ -49,6 +49,7 @@ mod solve;
 
 pub use constraints::{
     init_constraints, safepath_constraint, terminate_constraints, Constraint, ConstraintLabel,
+    HoleSet, Slicer,
 };
 pub use domains::{
     build_domains, derive_rank_candidates, ehole_types, expr_vars, pred_subset_candidates,

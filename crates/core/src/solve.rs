@@ -8,6 +8,9 @@
 //! restricted assignment of the holes that actually occur in the
 //! constraint); a failed constraint contributes a blocking clause over
 //! exactly those holes — the generalization that makes the search converge.
+//! The engine hands over constraints as the parts of its
+//! [`Slicer`](crate::Slicer), so those are the holes the failing part can
+//! observe, not every hole on its path.
 //!
 //! Verification goes through a persistent [`SmtSession`] owned by the
 //! engine: the session carries the library axioms and the normalized-query
@@ -19,20 +22,20 @@
 //! (and therefore the returned `Solution` set) is identical to the serial
 //! run.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use pins_budget::StopReason;
 
 use pins_ir::{EHoleId, PHoleId};
-use pins_logic::{collect_subterms, Term, TermId};
+use pins_logic::TermId;
 use pins_sat::{Lit, SolveResult, Solver as SatSolver, Var};
 use pins_smt::SmtSession;
-use pins_symexec::{apply_filler_term, HoleKind, MapFiller, SymCtx};
+use pins_symexec::{apply_filler_term, MapFiller, SymCtx};
 use pins_trace::{Counter, MetricsRegistry};
 
-use crate::constraints::Constraint;
+use crate::constraints::{Constraint, HoleSet};
 use crate::domains::HoleDomains;
 use crate::session::Session;
 
@@ -66,13 +69,6 @@ impl Solution {
         }
         filler
     }
-}
-
-/// The holes occurring in a constraint (determines the blocking clause).
-#[derive(Debug, Clone, Default)]
-pub struct ConstraintHoles {
-    eholes: Vec<u32>,
-    pholes: Vec<u32>,
 }
 
 /// Timing and counting statistics from `solve`.
@@ -231,9 +227,16 @@ fn verify_one(
     smt.entails(&mut ctx.arena, &hyps, goal)
 }
 
-/// A solution's choices restricted to the holes one constraint mentions:
-/// `(is_expr, hole id, chosen candidate)` triples.
-type RestrictedKey = Vec<(bool, u32, usize)>;
+/// A solution's choices restricted to the holes one constraint (or path)
+/// mentions: `(is_expr, hole id, chosen candidate)` triples.
+pub(crate) type RestrictedKey = Vec<(bool, u32, usize)>;
+
+/// `s` restricted to `holes`.
+pub(crate) fn restrict(holes: &HoleSet, s: &Solution) -> RestrictedKey {
+    let exprs = holes.exprs.iter().map(|&h| (true, h, s.exprs[h as usize]));
+    let preds = holes.preds.iter().map(|&h| (false, h, s.preds[h as usize]));
+    exprs.chain(preds).collect()
+}
 
 /// The incremental hole solver, persistent across PINS iterations
 /// (blocking clauses learned from old constraints remain valid as the
@@ -244,7 +247,7 @@ pub struct HoleSolver {
     pvars: Vec<Vec<Var>>,
     /// `(constraint index, restricted assignment) -> verified?`
     cache: HashMap<(usize, RestrictedKey), bool>,
-    holes_of: Vec<ConstraintHoles>,
+    holes_of: Vec<HoleSet>,
     /// Statistics accumulated across calls.
     pub stats: SolveStats,
     /// Registry handles mirroring `stats`; detached until
@@ -297,29 +300,8 @@ impl HoleSolver {
             self.holes_of.len(),
             "constraints must register in order"
         );
-        let mut eholes = HashSet::new();
-        let mut pholes = HashSet::new();
-        let mut subs = HashSet::new();
-        for &h in c.hyps.iter().chain(std::iter::once(&c.goal)) {
-            collect_subterms(&ctx.arena, h, &mut subs);
-        }
-        for s in &subs {
-            if let Term::Hole(occ, _) = ctx.arena.term(*s) {
-                match ctx.occurrence(*occ).kind {
-                    HoleKind::Expr(e) => {
-                        eholes.insert(e.0);
-                    }
-                    HoleKind::Pred(p) => {
-                        pholes.insert(p.0);
-                    }
-                }
-            }
-        }
-        let mut eholes: Vec<u32> = eholes.into_iter().collect();
-        let mut pholes: Vec<u32> = pholes.into_iter().collect();
-        eholes.sort_unstable();
-        pholes.sort_unstable();
-        self.holes_of.push(ConstraintHoles { eholes, pholes });
+        let terms = c.hyps.iter().copied().chain(std::iter::once(c.goal));
+        self.holes_of.push(HoleSet::of(ctx, terms));
     }
 
     fn extract_solution(sat: &SatSolver, evars: &[Vec<Var>], pvars: &[Vec<Var>]) -> Solution {
@@ -335,15 +317,7 @@ impl HoleSolver {
     }
 
     fn restricted_key(&self, c: usize, s: &Solution) -> RestrictedKey {
-        let holes = &self.holes_of[c];
-        let mut key = Vec::with_capacity(holes.eholes.len() + holes.pholes.len());
-        for &h in &holes.eholes {
-            key.push((true, h, s.exprs[h as usize]));
-        }
-        for &h in &holes.pholes {
-            key.push((false, h, s.preds[h as usize]));
-        }
-        key
+        restrict(&self.holes_of[c], s)
     }
 
     /// Verifies one constraint under a solution, with memoization (serial
@@ -447,7 +421,7 @@ impl HoleSolver {
             start = end;
 
             let mut results: HashMap<usize, bool> = HashMap::new();
-            let mut keys: HashMap<usize, Vec<(bool, u32, usize)>> = HashMap::new();
+            let mut keys: HashMap<usize, RestrictedKey> = HashMap::new();
             let mut pending: Vec<usize> = Vec::new();
             for &c in &wave {
                 let key = self.restricted_key(c, s);
@@ -552,15 +526,15 @@ impl HoleSolver {
     /// constraint `c` under `s` (every extension of that assignment fails
     /// the constraint too).
     fn block(&mut self, c: usize, s: &Solution, into_main: bool, snapshot: &mut SatSolver) {
-        let holes = self.holes_of[c].clone();
+        let holes = &self.holes_of[c];
         let mut clause = Vec::new();
-        for &h in &holes.eholes {
+        for &h in &holes.exprs {
             let choice = s.exprs[h as usize];
             if choice != usize::MAX {
                 clause.push(Lit::neg(self.evars[h as usize][choice]));
             }
         }
-        for &h in &holes.pholes {
+        for &h in &holes.preds {
             let choice = s.preds[h as usize];
             if choice != usize::MAX {
                 clause.push(Lit::neg(self.pvars[h as usize][choice]));

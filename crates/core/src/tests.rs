@@ -1,6 +1,10 @@
+use std::collections::HashSet;
+
 use pins_ir::{
     parse_expr_in, parse_pred_in, program_to_string, run, ExternEnv, Store, Type, Value,
 };
+use pins_logic::TermId;
+use pins_symexec::{EmptyFiller, ExploreConfig, Explorer, SymCtx};
 
 use crate::*;
 
@@ -280,4 +284,196 @@ fn terminate_constraints_generated_per_template_loop() {
     assert!(cs
         .iter()
         .any(|c| matches!(c.label, ConstraintLabel::InvMaintain(_))));
+}
+
+// ---------------- constraint slicing ----------------
+
+/// `c := c + a` under `a != 0`, inverted by `aI, cI := ?e1, ?e2` with both
+/// holes ranging over `cands` (the shape of LU decomp, scaled down).
+fn lu_like_session(cands: &[&str]) -> Session {
+    let mut s = Session::from_sources(
+        "proc f(inout a: int, inout c: int) { assume(a != 0); c := c + a; }",
+        "proc g(in a: int, in c: int, out aI: int, out cI: int) { aI := ?e1; cI := ?e2; }",
+    );
+    let comp = s.composed.clone();
+    s.expr_candidates = cands
+        .iter()
+        .map(|src| parse_expr_in(&comp, src).unwrap())
+        .collect();
+    let var = |n: &str| comp.var_by_name(n).unwrap();
+    s.spec = Spec {
+        items: vec![
+            SpecItem::IntEq {
+                input: var("a"),
+                output: var("aI"),
+            },
+            SpecItem::IntEq {
+                input: var("c"),
+                output: var("cI"),
+            },
+        ],
+    };
+    s
+}
+
+/// The domains, translation context and single path's `safepath`
+/// constraint of `session`.
+fn safepath_of(session: &Session) -> (HoleDomains, SymCtx, Constraint) {
+    let domains = build_domains(session, DomainConfig::default());
+    let mut ctx = SymCtx::new(&session.composed);
+    let config = ExploreConfig {
+        check_feasibility: false,
+        ..ExploreConfig::default()
+    };
+    let path = Explorer::new(&session.composed, config)
+        .explore_one(&mut ctx, &EmptyFiller, &HashSet::new())
+        .expect("one path");
+    let c = safepath_constraint(session, &session.spec, &mut ctx, &path);
+    (domains, ctx, c)
+}
+
+/// The term of variable `name` at `version`.
+fn var_at(session: &Session, ctx: &mut SymCtx, name: &str, version: u32) -> TermId {
+    ctx.var_term(session.composed.var_by_name(name).unwrap(), version)
+}
+
+/// `hyps => goal`, as the engine labels a path's safety constraint.
+fn hand_built(hyps: Vec<TermId>, goal: TermId) -> Constraint {
+    Constraint {
+        hyps,
+        goal,
+        label: ConstraintLabel::SafePath,
+    }
+}
+
+#[test]
+fn slicing_gives_each_output_its_own_hole() {
+    let session = lu_like_session(&["a", "c - a"]);
+    let (domains, mut ctx, c) = safepath_of(&session);
+    let parts = Slicer::new(&domains).slice(&mut ctx, &c);
+    assert_eq!(parts.len(), 2, "one part per spec conjunct");
+    for p in &parts {
+        let holes = HoleSet::of(&ctx, p.hyps.iter().copied().chain([p.goal]));
+        assert_eq!(holes.len(), 1, "each part observes one hole");
+    }
+}
+
+#[test]
+fn slicing_keeps_a_definition_a_hole_candidate_reads() {
+    // `c - a` read under the template's version map is `c@1 - a@0`, so
+    // `c@1 = c@0 + a@0` stays in both parts (LU's `c@1`/`d@1` case) ...
+    let session = lu_like_session(&["a", "c - a"]);
+    let (domains, mut ctx, c) = safepath_of(&session);
+    let (c0, c1, a0) = (
+        var_at(&session, &mut ctx, "c", 0),
+        var_at(&session, &mut ctx, "c", 1),
+        var_at(&session, &mut ctx, "a", 0),
+    );
+    let sum = ctx.arena.mk_add(c0, a0);
+    let c1_def = ctx.arena.mk_eq(c1, sum);
+    assert!(c.hyps.contains(&c1_def));
+    for p in Slicer::new(&domains).slice(&mut ctx, &c) {
+        assert!(p.hyps.contains(&c1_def), "a candidate reads c@1");
+    }
+    // ... and is dropped when no candidate reads `c`
+    let session = lu_like_session(&["a"]);
+    let (domains, mut ctx, c) = safepath_of(&session);
+    assert!(c.hyps.contains(&c1_def));
+    for p in Slicer::new(&domains).slice(&mut ctx, &c) {
+        assert!(!p.hyps.contains(&c1_def), "nothing reads c@1");
+    }
+}
+
+#[test]
+fn slicing_keeps_guards_and_negations() {
+    let session = lu_like_session(&["a"]);
+    let (domains, mut ctx, _) = safepath_of(&session);
+    let (a0, c0) = (
+        var_at(&session, &mut ctx, "a", 0),
+        var_at(&session, &mut ctx, "c", 0),
+    );
+    let (c2, c3) = (
+        var_at(&session, &mut ctx, "c", 2),
+        var_at(&session, &mut ctx, "c", 3),
+    );
+    let five = ctx.arena.mk_int(5);
+    let guard = ctx.arena.mk_lt(c0, five);
+    let negation = ctx.arena.mk_neq(c2, a0);
+    let one = ctx.arena.mk_int(1);
+    let next = ctx.arena.mk_add(a0, one);
+    let definition = ctx.arena.mk_eq(c3, next);
+    let zero = ctx.arena.mk_int(0);
+    let goal = ctx.arena.mk_ge(a0, zero);
+    let c = hand_built(vec![guard, negation, definition], goal);
+    let parts = Slicer::new(&domains).slice(&mut ctx, &c);
+    assert_eq!(parts.len(), 1);
+    assert_eq!(
+        parts[0].hyps,
+        vec![guard, negation],
+        "only `c@3 = a@0 + 1` goes"
+    );
+}
+
+#[test]
+fn slicing_keeps_a_definition_whose_variable_occurs_on_its_right() {
+    // `c@1 = c@1 + 1` is unsatisfiable: it makes the constraint valid, and
+    // `exists v. v = t` does not apply when `v` occurs in `t`
+    let session = lu_like_session(&["a"]);
+    let (domains, mut ctx, _) = safepath_of(&session);
+    let (a0, c1) = (
+        var_at(&session, &mut ctx, "a", 0),
+        var_at(&session, &mut ctx, "c", 1),
+    );
+    let one = ctx.arena.mk_int(1);
+    let next = ctx.arena.mk_add(c1, one);
+    let cyclic = ctx.arena.mk_eq(c1, next);
+    let zero = ctx.arena.mk_int(0);
+    let goal = ctx.arena.mk_ge(a0, zero);
+    let c = hand_built(vec![cyclic], goal);
+    let parts = Slicer::new(&domains).slice(&mut ctx, &c);
+    assert_eq!(parts.len(), 1);
+    assert_eq!(parts[0].hyps, vec![cyclic]);
+    let mut smt = pins_smt::SmtSession::new(pins_smt::SmtConfig::default());
+    assert!(smt.entails(&mut ctx.arena, &c.hyps, c.goal));
+    assert!(smt.entails(&mut ctx.arena, &parts[0].hyps, parts[0].goal));
+}
+
+#[test]
+fn slicing_merges_parts_that_observe_the_same_holes() {
+    let session = lu_like_session(&["a", "c - a"]);
+    let (domains, mut ctx, c) = safepath_of(&session);
+    let (a0, ai1) = (
+        var_at(&session, &mut ctx, "a", 0),
+        var_at(&session, &mut ctx, "aI", 1),
+    );
+    // both conjuncts read `aI@1`, so both need `aI@1 = ?e1`: one part,
+    // identical to the constraint
+    let same = ctx.arena.mk_eq(a0, ai1);
+    let zero = ctx.arena.mk_int(0);
+    let positive = ctx.arena.mk_ge(ai1, zero);
+    let goal = ctx.arena.mk_and(vec![same, positive]);
+    let merged = hand_built(c.hyps.clone(), goal);
+    let parts = Slicer::new(&domains).slice(&mut ctx, &merged);
+    assert_eq!(parts.len(), 1);
+    assert_eq!(parts[0].goal, goal);
+    // the safepath goal's two conjuncts observe different holes: two parts
+    assert_eq!(Slicer::new(&domains).slice(&mut ctx, &c).len(), 2);
+}
+
+#[test]
+fn slicer_skips_duplicate_constraints() {
+    let session = lu_like_session(&["a", "c - a"]);
+    let (domains, mut ctx, c) = safepath_of(&session);
+    let registry = pins_trace::MetricsRegistry::new();
+    let mut slicer = Slicer::new(&domains);
+    slicer.bind_metrics(&registry);
+    let mut out = Vec::new();
+    slicer.add(&mut ctx, [c.clone(), c.clone()], &mut out);
+    assert_eq!(out.len(), 2, "the second copy adds nothing");
+    slicer.add(&mut ctx, out.clone(), &mut out);
+    assert_eq!(out.len(), 2, "nor do parts already added");
+    assert_eq!(registry.get("slice.constraints"), 1);
+    assert_eq!(registry.get("slice.parts"), 2);
+    assert_eq!(registry.get("slice.narrowed"), 1);
+    assert_eq!(registry.get("slice.duplicates"), 3);
 }

@@ -12,18 +12,19 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use pins_budget::Budget;
+use pins_core::{Constraint, ConstraintLabel, HoleDomains, Slicer};
 use pins_ir::{run as interp_run, ExternEnv, InterpError, Store, Value};
-use pins_ir::{Mode, Type, VarId};
+use pins_ir::{EHoleId, Expr, Mode, Program, Stmt, Type, VarId};
 use pins_logic::TermId;
 use pins_smt::{CoreSlot, QueryCache, Smt, SmtConfig, SmtResult, SmtSession, Verdict};
-use pins_symexec::{EmptyFiller, ExploreConfig, Explorer, SymCtx};
+use pins_symexec::{apply_filler_term, EmptyFiller, ExploreConfig, Explorer, MapFiller, SymCtx};
 
 use crate::eval::{check_model, enumerate_sat};
 use crate::genf::{gen_formula, FormulaConfig, GenFormula};
 use crate::genp::{gen_program, ProgramConfig};
 use crate::tape::Decisions;
 
-/// The seven differential oracles.
+/// The eight differential oracles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleKind {
     /// `Sat` verdicts: the returned model must satisfy the formula under an
@@ -46,10 +47,13 @@ pub enum OracleKind {
     /// Every extracted unsat core must itself be unsat when its members are
     /// re-solved fresh (core-tracking soundness).
     Core,
+    /// A path constraint is valid iff every part the synthesis-constraint
+    /// slicer cuts it into is (slicing exactness).
+    Slice,
 }
 
 /// All oracles, in the round-robin order the driver uses.
-pub const ALL_ORACLES: [OracleKind; 7] = [
+pub const ALL_ORACLES: [OracleKind; 8] = [
     OracleKind::ModelEval,
     OracleKind::EnumUnsat,
     OracleKind::Cache,
@@ -57,6 +61,7 @@ pub const ALL_ORACLES: [OracleKind; 7] = [
     OracleKind::InterpSymexec,
     OracleKind::Budget,
     OracleKind::Core,
+    OracleKind::Slice,
 ];
 
 impl OracleKind {
@@ -70,6 +75,7 @@ impl OracleKind {
             OracleKind::InterpSymexec => "interp-symexec",
             OracleKind::Budget => "budget",
             OracleKind::Core => "core",
+            OracleKind::Slice => "slice",
         }
     }
 
@@ -147,6 +153,7 @@ pub fn run_oracle(kind: OracleKind, d: &mut Decisions) -> OracleOutcome {
         OracleKind::InterpSymexec => interp_vs_symexec(d),
         OracleKind::Budget => budget_compat(d),
         OracleKind::Core => core_soundness(d),
+        OracleKind::Slice => slice_exactness(d),
     }
 }
 
@@ -570,6 +577,162 @@ fn core_soundness(d: &mut Decisions) -> OracleOutcome {
         ),
         SmtResult::Sat(_) => OracleOutcome::skip("core-sat-incomplete"),
         SmtResult::Unknown(_) => OracleOutcome::skip("core-unknown"),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 8. slice
+// ---------------------------------------------------------------------------
+
+/// Turns some integer assignments of `stmts` into expression holes, as an
+/// inverse template would have them: each hole's domain holds the replaced
+/// expression plus a variable read and a constant, so candidates read
+/// variables the slicer must account for.
+fn punch_holes(
+    d: &mut Decisions,
+    stmts: &mut [Stmt],
+    int_vars: &[VarId],
+    domains: &mut Vec<Vec<Expr>>,
+) {
+    for stmt in stmts {
+        match stmt {
+            Stmt::Assign(pairs) => {
+                for (_, e) in pairs.iter_mut() {
+                    if matches!(e, Expr::Sel(..) | Expr::Upd(..)) || !d.chance(1, 2) {
+                        continue;
+                    }
+                    let hole = Expr::Hole(EHoleId(domains.len() as u32));
+                    let original = std::mem::replace(e, hole);
+                    let read = Expr::Var(*d.pick(int_vars));
+                    let constant = Expr::Int(d.int_in(-2, 2));
+                    domains.push(vec![original, read, constant]);
+                }
+            }
+            Stmt::If(_, t, e) => {
+                punch_holes(d, t, int_vars, domains);
+                punch_holes(d, e, int_vars, domains);
+            }
+            Stmt::While(_, _, body) => punch_holes(d, body, int_vars, domains),
+            Stmt::Assume(_) | Stmt::Exit | Stmt::Skip => {}
+        }
+    }
+}
+
+/// Whether a fresh session proves `hyps => goal` under `filler`:
+/// `Some(true)` on an unsat negation, `Some(false)` on a complete model,
+/// `None` otherwise.
+fn validity(
+    ctx: &mut SymCtx,
+    program: &Program,
+    filler: &MapFiller,
+    hyps: &[TermId],
+    goal: TermId,
+) -> Option<bool> {
+    let mut query: Vec<TermId> = hyps
+        .iter()
+        .map(|&h| apply_filler_term(ctx, program, h, filler))
+        .collect();
+    let goal = apply_filler_term(ctx, program, goal, filler);
+    query.push(ctx.arena.mk_not(goal));
+    let mut session = SmtSession::with_cache(fuzz_smt_config(), Arc::new(QueryCache::new()));
+    match session.verdict_under(&mut ctx.arena, &query) {
+        Verdict::Unsat => Some(true),
+        Verdict::Sat { complete: true } => Some(false),
+        _ => None,
+    }
+}
+
+fn slice_exactness(d: &mut Decisions) -> OracleOutcome {
+    let mut program = gen_program(d, ProgramConfig::default());
+    let int_vars: Vec<VarId> = program
+        .vars
+        .iter()
+        .enumerate()
+        .filter(|(_, v)| v.ty == Type::Int)
+        .map(|(i, _)| VarId(i as u32))
+        .collect();
+    let mut exprs = Vec::new();
+    punch_holes(d, &mut program.body, &int_vars, &mut exprs);
+    program.num_eholes = exprs.len() as u32;
+    let domains = HoleDomains {
+        exprs,
+        ..HoleDomains::default()
+    };
+
+    let mut ctx = SymCtx::new(&program);
+    let mut explorer = Explorer::new(
+        &program,
+        ExploreConfig {
+            max_unroll: 3,
+            check_feasibility: false,
+            smt: fuzz_smt_config(),
+            ..ExploreConfig::default()
+        },
+    );
+    const PATH_LIMIT: usize = 64;
+    let paths = explorer.enumerate(&mut ctx, &EmptyFiller, PATH_LIMIT);
+    if paths.is_empty() {
+        return OracleOutcome::skip("no-path");
+    }
+    let path = d.pick(&paths).clone();
+
+    // the goal: equalities between final and initial versions, the shape of
+    // an inversion spec
+    let mut eqs = Vec::new();
+    for _ in 0..1 + d.choose(3) {
+        let (u, w) = (*d.pick(&int_vars), *d.pick(&int_vars));
+        let lhs = ctx.var_term(u, path.final_version(u));
+        let w_version = if d.chance(1, 2) {
+            path.final_version(w)
+        } else {
+            0
+        };
+        let rhs = ctx.var_term(w, w_version);
+        eqs.push(ctx.arena.mk_eq(lhs, rhs));
+    }
+    let goal = ctx.arena.mk_and(eqs);
+    let whole = Constraint {
+        hyps: path.conjuncts.clone(),
+        goal,
+        label: ConstraintLabel::SafePath,
+    };
+    let parts = Slicer::new(&domains).slice(&mut ctx, &whole);
+    let kept: usize = parts.iter().map(|p| p.hyps.len()).sum();
+    let shape = if parts.len() > 1 {
+        "split"
+    } else if kept < whole.hyps.len() {
+        "sliced"
+    } else {
+        "unsliced"
+    };
+
+    let mut filler = MapFiller::default();
+    for (h, dom) in domains.exprs.iter().enumerate() {
+        filler.exprs.insert(EHoleId(h as u32), d.pick(dom).clone());
+    }
+    let Some(valid) = validity(&mut ctx, &program, &filler, &whole.hyps, whole.goal) else {
+        return OracleOutcome::skip("unknown");
+    };
+    let mut each = Vec::with_capacity(parts.len());
+    for p in &parts {
+        match validity(&mut ctx, &program, &filler, &p.hyps, p.goal) {
+            Some(v) => each.push(v),
+            None => return OracleOutcome::skip("unknown-part"),
+        }
+    }
+    let detail = format!("{}-{shape}", if valid { "valid" } else { "invalid" });
+    if valid == each.iter().all(|&v| v) {
+        OracleOutcome::pass(detail)
+    } else {
+        OracleOutcome::fail(
+            vec![format!(
+                "constraint over {} hypotheses is valid={valid}, but its {} parts \
+                 (keeping {kept}) say {each:?}",
+                whole.hyps.len(),
+                parts.len()
+            )],
+            detail,
+        )
     }
 }
 

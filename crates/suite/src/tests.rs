@@ -209,28 +209,16 @@ fn synthesize_sum_i() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "synthesis is slow without optimizations; run with --release"
-)]
 fn synthesize_vector_shift() {
     synthesize_and_check(BenchmarkId::VectorShift, &[0, 1, 4]);
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "synthesis is slow without optimizations; run with --release"
-)]
 fn synthesize_vector_scale() {
     synthesize_and_check(BenchmarkId::VectorScale, &[0, 2, 4]);
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "synthesis is slow without optimizations; run with --release"
-)]
 fn synthesize_vector_rotate() {
     synthesize_and_check(BenchmarkId::VectorRotate, &[0, 2, 4]);
 }
@@ -241,12 +229,21 @@ fn synthesize_lu_decomp() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "synthesis is slow without optimizations; run with --release"
-)]
 fn synthesize_serialize() {
     synthesize_and_check(BenchmarkId::Serialize, &[0, 1, 4]);
+}
+
+#[test]
+fn lu_decomp_converges_within_64_candidates() {
+    // sliced, each spec conjunct observes one hole, so a refutation blocks
+    // one hole's choice instead of a whole 9^4 assignment (6,571 candidates
+    // when every constraint carried every hole)
+    let b = benchmark(BenchmarkId::LuDecomp);
+    let mut session = b.session();
+    let outcome = Pins::new(b.recommended_config()).run(&mut session).unwrap();
+    assert!(outcome.converged);
+    let candidates = outcome.metrics().get("solve.candidates");
+    assert!(candidates <= 64, "{candidates} candidates");
 }
 
 #[test]

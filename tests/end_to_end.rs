@@ -86,10 +86,6 @@ fn pins_and_cegis_agree_on_sum_i() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "synthesis is slow without optimizations; run with --release"
-)]
 fn bmc_confirms_synthesized_vector_shift() {
     let bench = benchmark(BenchmarkId::VectorShift);
     let mut session = bench.session();

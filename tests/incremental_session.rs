@@ -49,19 +49,11 @@ fn parallel_matches_serial_on_sum_i() {
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "synthesis is slow without optimizations; run with --release"
-)]
 fn parallel_matches_serial_on_lu_decomp() {
     assert_parallel_matches_serial(BenchmarkId::LuDecomp);
 }
 
 #[test]
-#[cfg_attr(
-    debug_assertions,
-    ignore = "synthesis is slow without optimizations; run with --release"
-)]
 fn parallel_matches_serial_on_serialize() {
     assert_parallel_matches_serial(BenchmarkId::Serialize);
 }
