@@ -38,7 +38,7 @@ fn main() {
                 config.pick_random = random;
                 config.seed = seed.wrapping_mul(0x9e37).wrapping_add(17);
                 if let Ok(outcome) = Pins::new(config).run(&mut session) {
-                    *acc += outcome.total_time.as_secs_f64();
+                    *acc += outcome.stats().total_time.as_secs_f64();
                 }
             }
         }

@@ -20,6 +20,7 @@ fn main() {
             .unwrap_or_default();
         match run_pins(&b, &args) {
             Ok(outcome) => {
+                let stats = outcome.stats();
                 println!(
                     "{:<14} {:>9} {:>5} {:>6} {:>10} {:>7}   ({paper_str})",
                     b.name(),
@@ -31,8 +32,8 @@ fn main() {
                         if outcome.converged { "" } else { "*" }
                     ),
                     outcome.iterations,
-                    secs(outcome.total_time),
-                    outcome.sat_size,
+                    secs(stats.total_time),
+                    stats.sat_size,
                 );
             }
             Err(e) => {

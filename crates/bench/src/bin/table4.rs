@@ -6,6 +6,7 @@
 //! FILE`, streams every structured trace event of the run as JSON Lines.
 
 use pins_bench::{init, paper, profile, run_pins_with, secs, slug, verdict_of};
+use pins_core::SliceStats;
 use pins_suite::benchmark;
 use pins_trace::MetricsRegistry;
 
@@ -48,24 +49,9 @@ fn main() {
                     pct(s.pickone_time),
                     secs(s.total_time),
                 );
-                let per_worker = s
-                    .worker_queries
-                    .iter()
-                    .map(|q| q.to_string())
-                    .collect::<Vec<_>>()
-                    .join("/");
                 println!(
-                    "{:<14} cache {} hit / {} miss, {} workers (queries {}), solver reused {}x",
-                    "",
-                    s.smt_cache_hits,
-                    s.smt_cache_misses,
-                    s.verify_workers,
-                    if per_worker.is_empty() {
-                        "-".to_string()
-                    } else {
-                        per_worker
-                    },
-                    s.sessions_reused,
+                    "{:<14} cache {} hit / {} miss, solver reused {}x",
+                    "", s.smt_cache_hits, s.smt_cache_misses, s.sessions_reused,
                 );
                 let degradations = s.unknown_deadline
                     + s.unknown_cancelled
@@ -93,17 +79,16 @@ fn main() {
             Err(e) => println!("{:<14} {e}   ({paper_str})", b.name()),
         }
         // read from the registry, so unsolved runs report it too
-        let sliced = metrics.get("slice.constraints");
-        let narrowed = metrics.get("slice.narrowed");
+        let slice = SliceStats::from_registry(&metrics);
         println!(
             "{:<14} slice {} constraints -> {} parts, {} narrowed ({:.0}%), \
              {} duplicates skipped",
             "",
-            sliced,
-            metrics.get("slice.parts"),
-            narrowed,
-            100.0 * narrowed as f64 / sliced.max(1) as f64,
-            metrics.get("slice.duplicates"),
+            slice.constraints,
+            slice.parts,
+            slice.narrowed,
+            100.0 * slice.narrowed as f64 / slice.constraints.max(1) as f64,
+            slice.duplicates,
         );
     }
     if args.profile {

@@ -37,8 +37,6 @@ pub struct HarnessArgs {
     pub budget: Option<Duration>,
     /// Fast mode: lighter budgets, for smoke runs.
     pub fast: bool,
-    /// Verification worker-thread override (default: the engine's choice).
-    pub workers: Option<usize>,
     /// Per-SMT-query wall-clock limit.
     pub query_ms: Option<u64>,
     /// Per-SMT-query step limit (conflicts + pivots + instantiation rounds).
@@ -54,14 +52,13 @@ pub struct HarnessArgs {
     pub trace_out: Option<String>,
 }
 
-/// Parses `[--fast] [--budget SECS] [--workers N] [--query-ms MS]
+/// Parses `[--fast] [--budget SECS] [--query-ms MS]
 /// [--query-steps N] [--no-retry] [--profile] [--bench-json FILE]
 /// [--trace-out FILE] [name...]` from `std::env::args`.
 pub fn parse_args() -> HarnessArgs {
     let mut benchmarks = Vec::new();
     let mut budget = None;
     let mut fast = false;
-    let mut workers = None;
     let mut query_ms = None;
     let mut query_steps = None;
     let mut no_retry = false;
@@ -86,13 +83,6 @@ pub fn parse_args() -> HarnessArgs {
                     .and_then(|s| s.parse().ok())
                     .expect("--budget takes seconds");
                 budget = Some(Duration::from_secs(secs));
-            }
-            "--workers" => {
-                workers = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .expect("--workers takes a count"),
-                );
             }
             "--query-ms" => {
                 query_ms = Some(
@@ -128,7 +118,6 @@ pub fn parse_args() -> HarnessArgs {
         benchmarks,
         budget,
         fast,
-        workers,
         query_ms,
         query_steps,
         no_retry,
@@ -211,9 +200,6 @@ pub fn run_pins_with(
         config.time_budget = Some(budget);
     } else if args.fast {
         config.time_budget = Some(Duration::from_secs(60));
-    }
-    if let Some(w) = args.workers {
-        config.verify_workers = w;
     }
     // per-query solver budgets apply to both the verification session and
     // the symbolic executor's feasibility session

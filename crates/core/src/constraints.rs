@@ -10,7 +10,7 @@ use pins_logic::{collect_vars, Sort, Term, TermArena, TermId, VarKey, BOUND_VERS
 use pins_symexec::{
     version_of, EmptyFiller, ExploreConfig, Explorer, HoleKind, PathResult, SymCtx, VersionMap,
 };
-use pins_trace::{Counter, MetricsRegistry};
+use pins_trace::MetricsRegistry;
 
 use crate::domains::{expr_vars, pred_vars, HoleDomains};
 use crate::session::{Session, Spec};
@@ -296,18 +296,19 @@ pub struct Slicer {
     metrics: SliceMetrics,
 }
 
-/// Registry handles for the slicer (`slice.*`); detached by default.
-#[derive(Default)]
-struct SliceMetrics {
-    /// Constraints sliced (duplicates excluded).
-    constraints: Counter,
-    /// Constraints and parts skipped as duplicates.
-    duplicates: Counter,
-    /// Parts added.
-    parts: Counter,
-    /// Constraints with a part mentioning strictly fewer holes than the
-    /// whole constraint.
-    narrowed: Counter,
+pins_trace::counter_table! {
+    /// What the slicer did: the view of the `slice.*` cells.
+    pub struct SliceStats / SliceMetrics {
+        /// Constraints sliced (duplicates excluded).
+        constraints: u64 = "slice.constraints",
+        /// Constraints and parts skipped as duplicates.
+        duplicates: u64 = "slice.duplicates",
+        /// Parts added.
+        parts: u64 = "slice.parts",
+        /// Constraints with a part mentioning strictly fewer holes than the
+        /// whole constraint.
+        narrowed: u64 = "slice.narrowed",
+    }
 }
 
 impl Slicer {
@@ -333,12 +334,7 @@ impl Slicer {
     /// Binds the slicer's counters to `registry`: `slice.constraints`,
     /// `slice.duplicates`, `slice.parts` and `slice.narrowed`.
     pub fn bind_metrics(&mut self, registry: &MetricsRegistry) {
-        self.metrics = SliceMetrics {
-            constraints: registry.counter("slice.constraints"),
-            duplicates: registry.counter("slice.duplicates"),
-            parts: registry.counter("slice.parts"),
-            narrowed: registry.counter("slice.narrowed"),
-        };
+        self.metrics = SliceMetrics::bind(registry);
     }
 
     /// Appends the parts of every constraint in `new` to `out`, skipping

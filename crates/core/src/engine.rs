@@ -7,7 +7,7 @@ use pins_budget::Budget;
 use pins_ir::{Expr, Pred, Program, Stmt, Value};
 use pins_logic::TermId;
 use pins_prng::SplitMix64;
-use pins_smt::{SmtConfig, SmtResult, SmtSession};
+use pins_smt::{SessionStats, SmtConfig, SmtResult, SmtSession};
 use pins_symexec::{apply_filler_term, ExploreConfig, Explorer, MapFiller, PathResult, SymCtx};
 use pins_trace::{MetricsRegistry, Phase, ProvenanceCtx};
 
@@ -16,7 +16,7 @@ use crate::constraints::{
 };
 use crate::domains::{build_domains, DomainConfig, HoleDomains};
 use crate::session::Session;
-use crate::solve::{restrict, HoleSolver, RestrictedKey, Solution};
+use crate::solve::{restrict, HoleSolver, RestrictedKey, Solution, SolveStats};
 
 /// `pickOne` memo: a path's substituted key plus the solution's choices for
 /// the holes that path mentions, mapped to "is this path infeasible under S".
@@ -41,14 +41,17 @@ pub struct PinsConfig {
     pub explore: ExploreConfig,
     /// SMT options for constraint verification.
     pub smt: SmtConfig,
-    /// Worker threads for per-constraint verification inside `solve`
-    /// (1 = serial; results are identical either way).
+    /// Has no effect: constraint verification is serial. Kept only so that
+    /// existing callers still compile; the benchmark change that drops
+    /// perfbench's `parallel` workload deletes it.
+    #[deprecated(note = "constraint verification is serial; this field is ignored")]
     pub verify_workers: usize,
     /// Optional wall-clock budget.
     pub time_budget: Option<Duration>,
 }
 
 impl Default for PinsConfig {
+    #[allow(deprecated)]
     fn default() -> Self {
         PinsConfig {
             m: 10,
@@ -58,21 +61,28 @@ impl Default for PinsConfig {
             seed: 0x9142,
             explore: ExploreConfig::default(),
             smt: SmtConfig::default(),
-            verify_workers: default_verify_workers(),
+            verify_workers: 1,
             time_budget: None,
         }
     }
 }
 
-/// Default verification parallelism: the machine's parallelism, capped at 4
-/// (the constraint sets are small; more workers mostly idle).
-pub fn default_verify_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get().min(4))
-        .unwrap_or(1)
+pins_trace::counter_table! {
+    /// The engine's own phase timers; `solve` times the other two phases
+    /// ([`SolveStats`]).
+    pub(crate) struct PhaseTimes / pub(crate) PhaseMetrics {
+        /// Symbolic execution (includes its SMT feasibility queries).
+        symexec: Duration = "phase.symexec",
+        /// The `pickOne` heuristic.
+        pickone: Duration = "phase.pickone",
+        /// Total wall-clock time of the run.
+        total: Duration = "phase.total",
+    }
 }
 
-/// Per-phase timing breakdown, mirroring the paper's Table 4 columns.
+/// Per-phase timing breakdown, mirroring the paper's Table 4 columns: a
+/// view composed from the engine's, the solver's and both sessions' key
+/// tables.
 #[derive(Debug, Clone, Default)]
 pub struct PinsStats {
     /// Symbolic execution (includes its SMT feasibility queries).
@@ -89,7 +99,8 @@ pub struct PinsStats {
     pub sat_size: usize,
     /// SMT validity queries issued by `solve`.
     pub smt_queries: u64,
-    /// SMT feasibility queries issued by symbolic execution.
+    /// SMT feasibility queries issued by symbolic execution: the queries of
+    /// the `feas` sessions.
     pub feasibility_queries: u64,
     /// Normalized-query cache hits on the engine's session (validity,
     /// pickOne, and test-generation traffic combined).
@@ -98,10 +109,6 @@ pub struct PinsStats {
     pub smt_cache_misses: u64,
     /// `solve` calls that reused solver state from an earlier iteration.
     pub sessions_reused: u64,
-    /// Size of the verification worker pool (1 = serial).
-    pub verify_workers: usize,
-    /// SMT queries issued per parallel worker slot (empty when serial).
-    pub worker_queries: Vec<u64>,
     /// Verification queries that panicked and were degraded to "constraint
     /// unverified" instead of aborting the run.
     pub worker_panics: u64,
@@ -122,35 +129,34 @@ pub struct PinsStats {
 }
 
 impl PinsStats {
-    /// Reconstructs the Table-4 view from a [`MetricsRegistry`] the engine
-    /// was run against (see [`Pins::run_with`]). Durations come from the
-    /// `phase.*` cells, counts from the `smt.*`, `solve.*`, and `explore.*`
-    /// cells; the result matches the typed stats carried on a successful
-    /// [`PinsOutcome`], and is the only view available when the run failed.
+    /// Reads the Table-4 view from a [`MetricsRegistry`] the engine was run
+    /// against (see [`Pins::run_with`]): the engine's `phase.*` timers,
+    /// [`SolveStats`], and the [`SessionStats`] of the `smt` (engine) and
+    /// `feas` (symbolic execution) sessions. Failed runs have it too.
     pub fn from_registry(registry: &MetricsRegistry) -> PinsStats {
-        let solve = crate::solve::SolveStats::from_registry(registry);
+        let phases = PhaseTimes::from_registry(registry);
+        let solve = SolveStats::from_registry(registry);
+        let smt = SessionStats::from_registry(registry, "smt");
         PinsStats {
-            symexec_time: registry.duration("phase.symexec"),
+            symexec_time: phases.symexec,
             smt_reduction_time: solve.smt_time,
             sat_time: solve.sat_time,
-            pickone_time: registry.duration("phase.pickone"),
-            total_time: registry.duration("phase.total"),
+            pickone_time: phases.pickone,
+            total_time: phases.total,
             sat_size: solve.sat_size,
             smt_queries: solve.smt_queries,
-            feasibility_queries: registry.get("explore.feasibility_queries"),
-            smt_cache_hits: registry.get("smt.cache_hits"),
-            smt_cache_misses: registry.get("smt.cache_misses"),
+            feasibility_queries: SessionStats::from_registry(registry, "feas").queries,
+            smt_cache_hits: smt.cache_hits,
+            smt_cache_misses: smt.cache_misses,
             sessions_reused: solve.sessions_reused,
-            verify_workers: solve.workers,
-            worker_queries: solve.worker_queries,
             worker_panics: solve.worker_panics,
             sat_interrupts: solve.sat_interrupts,
-            smt_retries: registry.get("smt.retries"),
-            smt_cache_upgrades: registry.get("smt.cache_upgrades"),
-            unknown_deadline: registry.get("smt.unknown.deadline"),
-            unknown_cancelled: registry.get("smt.unknown.cancelled"),
-            unknown_step_limit: registry.get("smt.unknown.step_limit"),
-            unknown_overflow: registry.get("smt.unknown.overflow"),
+            smt_retries: smt.retries,
+            smt_cache_upgrades: smt.cache_upgrades,
+            unknown_deadline: smt.unknown_deadline,
+            unknown_cancelled: smt.unknown_cancelled,
+            unknown_step_limit: smt.unknown_step_limit,
+            unknown_overflow: smt.unknown_overflow,
         }
     }
 }
@@ -175,9 +181,7 @@ pub struct ResolvedSolution {
 ///
 /// Statistics are exposed through [`stats`](PinsOutcome::stats) (the typed
 /// Table-4 view) and [`metrics`](PinsOutcome::metrics) (the raw
-/// [`MetricsRegistry`] the run was instrumented against). For back
-/// compatibility the outcome also derefs to [`PinsStats`], so
-/// `outcome.total_time` keeps working.
+/// [`MetricsRegistry`] the run was instrumented against).
 #[derive(Debug, Clone)]
 pub struct PinsOutcome {
     /// The surviving solutions (1–4 on the paper's benchmarks).
@@ -188,9 +192,6 @@ pub struct PinsOutcome {
     pub paths_explored: usize,
     /// Whether the run stabilized (vs. hitting a budget with candidates).
     pub converged: bool,
-    /// Timing and counting statistics (private: read through
-    /// [`stats`](PinsOutcome::stats) or the `Deref` impl).
-    stats: PinsStats,
     /// The registry every subsystem counter of this run was routed through.
     metrics: MetricsRegistry,
     /// Concrete tests generated from the explored paths.
@@ -200,9 +201,11 @@ pub struct PinsOutcome {
 }
 
 impl PinsOutcome {
-    /// The typed per-phase statistics (the paper's Table 4 columns).
-    pub fn stats(&self) -> &PinsStats {
-        &self.stats
+    /// The typed per-phase statistics (the paper's Table 4 columns), read
+    /// from [`metrics`](PinsOutcome::metrics). When several runs share one
+    /// registry, these are their totals.
+    pub fn stats(&self) -> PinsStats {
+        PinsStats::from_registry(&self.metrics)
     }
 
     /// The metrics registry the run recorded into: every `smt.*`,
@@ -211,14 +214,6 @@ impl PinsOutcome {
     /// [`Pins::run_with`], if any.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-}
-
-impl std::ops::Deref for PinsOutcome {
-    type Target = PinsStats;
-
-    fn deref(&self) -> &PinsStats {
-        &self.stats
     }
 }
 
@@ -297,11 +292,10 @@ impl Pins {
     /// Runs Algorithm 1 routing every subsystem counter and phase duration
     /// through a caller-owned [`MetricsRegistry`].
     ///
-    /// Unlike the stats carried on a [`PinsOutcome`], the registry survives
-    /// *failed* runs: on `Err` it still holds everything recorded up to the
-    /// stop, and [`PinsStats::from_registry`] reconstructs the Table-4 view
-    /// from it. Passing the same registry to several runs accumulates their
-    /// counters.
+    /// The registry also covers *failed* runs: on `Err` it still holds
+    /// everything recorded up to the stop, and [`PinsStats::from_registry`]
+    /// reads the Table-4 view from it. Passing the same registry to several
+    /// runs accumulates their counters.
     pub fn run_with(
         &self,
         session: &mut Session,
@@ -309,9 +303,10 @@ impl Pins {
         metrics: &MetricsRegistry,
     ) -> Result<PinsOutcome, PinsError> {
         let mut span = pins_trace::span("pins.run");
+        let phases = PhaseMetrics::bind(metrics);
         let t0 = Instant::now();
-        let result = self.run_inner(session, budget, metrics);
-        metrics.add_duration("phase.total", t0.elapsed());
+        let result = self.run_inner(session, budget, metrics, &phases);
+        phases.total.add_duration(t0.elapsed());
         if span.is_active() {
             span.record_str("program", &session.original.name);
             match &result {
@@ -336,22 +331,20 @@ impl Pins {
         session: &mut Session,
         budget: Budget,
         metrics: &MetricsRegistry,
+        phases: &PhaseMetrics,
     ) -> Result<PinsOutcome, PinsError> {
         let start = Instant::now();
-        let mut stats = PinsStats::default();
         let mut rng = SplitMix64::new(self.config.seed);
 
         let mut ctx = SymCtx::new(&session.composed);
         let axioms = session.axiom_terms(&mut ctx.arena);
         // one persistent session for the whole run: it carries the library
-        // axioms and the normalized-query cache shared with the verification
-        // workers forked inside `solve`
+        // axioms, and the normalized-query cache is process-wide
         let mut smt = SmtSession::new(self.config.smt);
         smt.set_budget(budget.clone());
         smt.bind_metrics(metrics, "smt");
         // one provenance context for the whole run: the loop below mutates
-        // it (iteration, phase, path) and every query span reads it —
-        // including spans from worker sessions forked inside `solve`
+        // it (iteration, phase, path) and every query span reads it
         let prov = ProvenanceCtx::new(&session.original.name);
         smt.set_provenance(prov.clone());
         for &ax in &axioms {
@@ -408,23 +401,13 @@ impl Pins {
                     &constraints,
                     self.config.m,
                     &mut smt,
-                    self.config.verify_workers,
                 )
             };
-            stats.smt_reduction_time = solver.stats.smt_time;
-            stats.sat_time = solver.stats.sat_time;
-            stats.sat_size = solver.stats.sat_size;
-            stats.smt_queries = solver.stats.smt_queries;
-            stats.sessions_reused = solver.stats.sessions_reused;
-            stats.verify_workers = solver.stats.workers;
-            stats.worker_queries = solver.stats.worker_queries.clone();
-            stats.worker_panics = solver.stats.worker_panics;
-            stats.sat_interrupts = solver.stats.sat_interrupts;
             if sols.is_empty() {
                 // an empty solution set means "every candidate refuted" only
                 // when the search actually ran to completion; a budget trip
                 // mid-enumeration is exhaustion, not a refutation
-                if solver.stats.last_stop.is_some() || budget.check().is_err() {
+                if solver.last_stop().is_some() || budget.check().is_err() {
                     return Err(PinsError::BudgetExhausted);
                 }
                 return Err(PinsError::NoSolution {
@@ -437,8 +420,7 @@ impl Pins {
             }
             if sols.len() == last_size && sols.len() < self.config.m {
                 return Ok(self.finalize(
-                    session, &mut ctx, &domains, &mut smt, metrics, sols, iterations, &paths,
-                    stats, start, true,
+                    session, &mut ctx, &domains, &mut smt, metrics, sols, iterations, &paths, true,
                 ));
             }
             last_size = sols.len();
@@ -462,9 +444,7 @@ impl Pins {
                 )
             };
             drop(pick_phase);
-            let dt = t0.elapsed();
-            stats.pickone_time += dt;
-            metrics.add_duration("phase.pickone", dt);
+            phases.pickone.add_duration(t0.elapsed());
             let filler = sols[pick].to_filler(&domains);
 
             // symbolic execution guided by the chosen solution; if a bad
@@ -490,7 +470,6 @@ impl Pins {
                 explorer.bind_metrics(metrics, "feas");
                 explorer.set_provenance(prov.clone());
                 path = explorer.explore_one(&mut ctx, &f, &explored);
-                stats.feasibility_queries += explorer.feasibility_queries;
                 any_budget_hit |= explorer.budget_hit;
                 if path.is_some() {
                     break;
@@ -503,9 +482,7 @@ impl Pins {
             }
             drop(symexec_phase);
             prov.set_path(0);
-            let dt = t0.elapsed();
-            stats.symexec_time += dt;
-            metrics.add_duration("phase.symexec", dt);
+            phases.symexec.add_duration(t0.elapsed());
 
             let Some(path) = path else {
                 // every feasible path within bounds is covered (or the step
@@ -520,8 +497,6 @@ impl Pins {
                     sols,
                     iterations,
                     &paths,
-                    stats,
-                    start,
                     !any_budget_hit,
                 ));
             };
@@ -603,8 +578,6 @@ impl Pins {
         sols: Vec<Solution>,
         iterations: usize,
         paths: &[PathResult],
-        mut stats: PinsStats,
-        start: Instant,
         converged: bool,
     ) -> PinsOutcome {
         let solutions: Vec<ResolvedSolution> = sols
@@ -617,21 +590,11 @@ impl Pins {
         } else {
             Vec::new()
         };
-        stats.smt_cache_hits = smt.stats.cache_hits;
-        stats.smt_cache_misses = smt.stats.cache_misses;
-        stats.smt_retries = smt.stats.retries;
-        stats.smt_cache_upgrades = smt.stats.cache_upgrades;
-        stats.unknown_deadline = smt.stats.unknown_deadline;
-        stats.unknown_cancelled = smt.stats.unknown_cancelled;
-        stats.unknown_step_limit = smt.stats.unknown_step_limit;
-        stats.unknown_overflow = smt.stats.unknown_overflow;
-        stats.total_time = start.elapsed();
         PinsOutcome {
             solutions,
             iterations,
             paths_explored: paths.len(),
             converged,
-            stats,
             metrics: metrics.clone(),
             tests,
             search_space_log2: domains.paper_search_space_log2,

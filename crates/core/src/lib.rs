@@ -49,15 +49,15 @@ mod solve;
 
 pub use constraints::{
     init_constraints, safepath_constraint, terminate_constraints, Constraint, ConstraintLabel,
-    HoleSet, Slicer,
+    HoleSet, SliceStats, Slicer,
 };
 pub use domains::{
     build_domains, derive_rank_candidates, ehole_types, expr_vars, pred_subset_candidates,
     type_of_expr, DomainConfig, HoleDomains,
 };
 pub use engine::{
-    default_verify_workers, resolve_solution, ConcreteTest, Pins, PinsConfig, PinsError,
-    PinsOutcome, PinsStats, ResolvedSolution,
+    resolve_solution, ConcreteTest, Pins, PinsConfig, PinsError, PinsOutcome, PinsStats,
+    ResolvedSolution,
 };
 pub use session::{AxiomDef, Session, Spec, SpecItem};
 pub use solve::{HoleSolver, Solution, SolveStats};

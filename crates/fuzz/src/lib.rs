@@ -10,9 +10,9 @@
 //! 2. **Differential oracles** ([`oracles`]): each oracle checks that two
 //!    independent routes through the stack agree — model evaluation vs SAT
 //!    verdicts, exhaustive enumeration vs UNSAT verdicts, cache vs
-//!    recomputation, serial vs forked-parallel sessions, the concrete
-//!    interpreter vs symbolic execution discharged through SMT, and
-//!    budget-degraded runs vs complete runs. Non-definitive results
+//!    recomputation, the concrete interpreter vs symbolic execution
+//!    discharged through SMT, budget-degraded runs vs complete runs, unsat
+//!    cores vs fresh solves, and sliced vs whole constraints. Non-definitive results
 //!    (`Unknown`, incomplete `Sat`) are compatible with anything; only
 //!    definitive disagreements are violations.
 //! 3. **Greedy tape shrinking** ([`shrink`]): failing tapes are
@@ -47,7 +47,7 @@ pub struct FuzzOptions {
     pub iters: u64,
     /// Master seed; per-iteration seeds derive from it.
     pub seed: u64,
-    /// Restrict to a single oracle (otherwise round-robin over all eight).
+    /// Restrict to a single oracle (otherwise round-robin over all seven).
     pub oracle: Option<OracleKind>,
     /// Wall-clock bound for the whole run, in milliseconds. Checked between
     /// iterations; when it trips, the run stops early (the report then

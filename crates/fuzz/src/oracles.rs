@@ -24,7 +24,7 @@ use crate::genf::{gen_formula, FormulaConfig, GenFormula};
 use crate::genp::{gen_program, ProgramConfig};
 use crate::tape::Decisions;
 
-/// The eight differential oracles.
+/// The seven differential oracles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleKind {
     /// `Sat` verdicts: the returned model must satisfy the formula under an
@@ -36,9 +36,6 @@ pub enum OracleKind {
     /// Cached `SmtSession` verdicts must agree with recomputation and with
     /// a fresh one-shot solver (cache-key soundness).
     Cache,
-    /// Serial and forked-parallel query verdicts over the same query list
-    /// must agree elementwise.
-    Parallel,
     /// Concrete `interp` runs vs symbolic path conditions discharged
     /// through the SMT solver: exactly one feasible path, same exit state.
     InterpSymexec,
@@ -53,11 +50,10 @@ pub enum OracleKind {
 }
 
 /// All oracles, in the round-robin order the driver uses.
-pub const ALL_ORACLES: [OracleKind; 8] = [
+pub const ALL_ORACLES: [OracleKind; 7] = [
     OracleKind::ModelEval,
     OracleKind::EnumUnsat,
     OracleKind::Cache,
-    OracleKind::Parallel,
     OracleKind::InterpSymexec,
     OracleKind::Budget,
     OracleKind::Core,
@@ -71,7 +67,6 @@ impl OracleKind {
             OracleKind::ModelEval => "model-eval",
             OracleKind::EnumUnsat => "enum-unsat",
             OracleKind::Cache => "cache",
-            OracleKind::Parallel => "parallel",
             OracleKind::InterpSymexec => "interp-symexec",
             OracleKind::Budget => "budget",
             OracleKind::Core => "core",
@@ -149,7 +144,6 @@ pub fn run_oracle(kind: OracleKind, d: &mut Decisions) -> OracleOutcome {
         OracleKind::ModelEval => model_eval(d),
         OracleKind::EnumUnsat => enum_unsat(d),
         OracleKind::Cache => cache_soundness(d),
-        OracleKind::Parallel => parallel_agreement(d),
         OracleKind::InterpSymexec => interp_vs_symexec(d),
         OracleKind::Budget => budget_compat(d),
         OracleKind::Core => core_soundness(d),
@@ -267,7 +261,7 @@ fn cache_soundness(d: &mut Decisions) -> OracleOutcome {
             verdict_name(vf)
         ));
     }
-    if cache.hits() == 0 && v1.is_definitive() {
+    if s2.stats().cache_hits == 0 && v1.is_definitive() {
         violations.push("identical repeat query missed the cache".to_owned());
     }
     if violations.is_empty() {
@@ -278,78 +272,7 @@ fn cache_soundness(d: &mut Decisions) -> OracleOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// 4. parallel
-// ---------------------------------------------------------------------------
-
-fn parallel_agreement(d: &mut Decisions) -> OracleOutcome {
-    let mut f = gen_formula(d, FormulaConfig::default());
-    let workers = 2 + d.choose(2) as usize;
-    // one query per assert prefix: re-checks under growing assumption sets,
-    // the same shape the engine's constraint verification issues
-    let queries: Vec<Vec<TermId>> = (0..f.asserts.len())
-        .map(|i| f.asserts[..=i].to_vec())
-        .collect();
-
-    let mut serial_session = SmtSession::with_cache(fuzz_smt_config(), Arc::new(QueryCache::new()));
-    let serial: Vec<Verdict> = queries
-        .iter()
-        .map(|q| serial_session.verdict_under(&mut f.arena, q))
-        .collect();
-
-    let base = SmtSession::with_cache(fuzz_smt_config(), Arc::new(QueryCache::new()));
-    let parallel: Vec<Verdict> = {
-        let mut out: Vec<Option<Verdict>> = vec![None; queries.len()];
-        let chunks: Vec<Vec<usize>> = (0..workers)
-            .map(|w| (w..queries.len()).step_by(workers).collect())
-            .collect();
-        let results: Vec<Vec<(usize, Verdict)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .iter()
-                .map(|chunk| {
-                    let mut session = base.fork();
-                    let mut arena = f.arena.clone();
-                    let queries = &queries;
-                    scope.spawn(move || {
-                        chunk
-                            .iter()
-                            .map(|&i| (i, session.verdict_under(&mut arena, &queries[i])))
-                            .collect()
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().unwrap()).collect()
-        });
-        for chunk in results {
-            for (i, v) in chunk {
-                out[i] = Some(v);
-            }
-        }
-        out.into_iter().map(|v| v.unwrap()).collect()
-    };
-
-    let violations: Vec<String> = serial
-        .iter()
-        .zip(&parallel)
-        .enumerate()
-        .filter(|(_, (s, p))| !s.agrees_with(**p))
-        .map(|(i, (s, p))| {
-            format!(
-                "query #{i}: serial {} vs parallel {}",
-                verdict_name(*s),
-                verdict_name(*p)
-            )
-        })
-        .collect();
-    let detail = verdict_name(*serial.last().expect("at least one assert"));
-    if violations.is_empty() {
-        OracleOutcome::pass(detail)
-    } else {
-        OracleOutcome::fail(violations, detail)
-    }
-}
-
-// ---------------------------------------------------------------------------
-// 5. interp-symexec
+// 4. interp-symexec
 // ---------------------------------------------------------------------------
 
 fn interp_vs_symexec(d: &mut Decisions) -> OracleOutcome {
@@ -486,7 +409,7 @@ fn interp_vs_symexec(d: &mut Decisions) -> OracleOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// 6. budget
+// 5. budget
 // ---------------------------------------------------------------------------
 
 fn budget_compat(d: &mut Decisions) -> OracleOutcome {
@@ -514,7 +437,7 @@ fn budget_compat(d: &mut Decisions) -> OracleOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// 7. core
+// 6. core
 // ---------------------------------------------------------------------------
 
 fn core_soundness(d: &mut Decisions) -> OracleOutcome {
@@ -581,7 +504,7 @@ fn core_soundness(d: &mut Decisions) -> OracleOutcome {
 }
 
 // ---------------------------------------------------------------------------
-// 8. slice
+// 7. slice
 // ---------------------------------------------------------------------------
 
 /// Turns some integer assignments of `stmts` into expression holes, as an

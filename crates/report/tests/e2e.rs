@@ -21,7 +21,6 @@ fn fast_args() -> HarnessArgs {
         benchmarks: vec![BenchmarkId::SumI],
         budget: None,
         fast: true,
-        workers: None,
         query_ms: None,
         query_steps: None,
         no_retry: false,

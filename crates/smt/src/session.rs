@@ -18,7 +18,12 @@
 //!   query only, without disturbing the persistent scope, and
 //! * a shared, process-wide **normalized-query cache** mapping a structural
 //!   fingerprint of (config, axioms, assertions ∪ assumptions) to the
-//!   verdict, with hit/miss counters.
+//!   verdict.
+//!
+//! Every query goes through one path: count, span, shape, audit, cache
+//! lookup, miss classification, solve, latency. Its counters live only in
+//! the session's [`SessionStats`] key table, whose handles bind to a
+//! [`MetricsRegistry`].
 //!
 //! # Normalization and soundness
 //!
@@ -37,18 +42,8 @@
 //! `Sat`/`Unknown` ones record their completeness, so replaying a cached
 //! verdict is exactly as trustworthy as re-running the solver with the same
 //! (fingerprinted) configuration.
-//!
-//! # Worker sessions
-//!
-//! [`fork`](SmtSession::fork) clones a session's scope and fingerprint memo
-//! while *sharing* the query cache, which is how the parallel constraint
-//! verifier in `pins-core` gives each worker thread its own session. A fork
-//! must only be used with the arena it was forked against or a clone of it:
-//! [`TermArena`] is append-only, so term ids that existed at fork time stay
-//! valid in clones, which keeps the memoized fingerprints correct.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -292,19 +287,6 @@ pub const NEAR_MISS_DELTA: usize = 4;
 /// per fingerprint; beyond it an assertion is too common to vote usefully.
 const INVERTED_CAP: usize = 8;
 
-/// Per-miss counters, one per [`MissCause`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MissBreakdown {
-    /// Misses with no structural precedent.
-    pub first_seen: u64,
-    /// Misses explained by a config-fingerprint change only.
-    pub config_mismatch: u64,
-    /// Misses on a budget-escalation ladder.
-    pub budget_retry: u64,
-    /// Misses within [`NEAR_MISS_DELTA`] assertions of a cached query.
-    pub near_miss: u64,
-}
-
 /// The unsat core stored alongside a cached `Unsat` verdict: the member
 /// formulas' structural fingerprints (a subset of the query's normalized
 /// assertion set, so any session that hits the entry can resolve them back
@@ -350,21 +332,15 @@ struct ForensicsIndex {
 /// shared by every session that opts in (all of them by default).
 ///
 /// The map is guarded by a [`Mutex`] — queries take microseconds to
-/// milliseconds, so contention on the lock is negligible next to solving —
-/// and the counters are lock-free atomics so hot paths can report stats
-/// without taking the lock. A second mutex guards the miss-forensics
-/// side-index (structural keys and the near-miss inverted index), touched
-/// only on the miss path.
+/// milliseconds, so contention on the lock is negligible next to solving.
+/// A second mutex guards the miss-forensics side-index (structural keys and
+/// the near-miss inverted index), touched only on the miss path. The cache
+/// counts nothing: hits, misses and miss causes are counted by the session
+/// that asked ([`SessionStats`]).
 #[derive(Debug, Default)]
 pub struct QueryCache {
     map: Mutex<HashMap<u128, CacheEntry>>,
     forensics: Mutex<ForensicsIndex>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    miss_first_seen: AtomicU64,
-    miss_config_mismatch: AtomicU64,
-    miss_budget_retry: AtomicU64,
-    miss_near_miss: AtomicU64,
 }
 
 impl QueryCache {
@@ -373,15 +349,10 @@ impl QueryCache {
         QueryCache::default()
     }
 
-    /// Looks up a fingerprint, bumping the hit or miss counter. The entry
-    /// carries the verdict plus, for tracked `Unsat` results, its core.
+    /// Looks up a fingerprint. The entry carries the verdict plus, for
+    /// tracked `Unsat` results, its core.
     pub fn lookup(&self, key: u128) -> Option<CacheEntry> {
-        let got = self.map.lock().unwrap().get(&key).cloned();
-        match got {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        got
+        self.map.lock().unwrap().get(&key).cloned()
     }
 
     /// Records a verdict for a fingerprint (no core).
@@ -434,17 +405,6 @@ impl QueryCache {
         }
     }
 
-    /// Bumps the per-cause miss counter.
-    pub fn note_miss_cause(&self, cause: MissCause) {
-        let cell = match cause {
-            MissCause::FirstSeen => &self.miss_first_seen,
-            MissCause::ConfigMismatch => &self.miss_config_mismatch,
-            MissCause::BudgetRetry => &self.miss_budget_retry,
-            MissCause::NearMiss => &self.miss_near_miss,
-        };
-        cell.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records a solved query into the forensics side-index so later misses
     /// can be classified against it.
     pub fn note_solved(&self, structural_key: u128, sorted_fps: &[u128], verdict: Verdict) {
@@ -472,26 +432,6 @@ impl QueryCache {
         }
     }
 
-    /// Per-cause miss counters since creation (or the last counter reset).
-    pub fn miss_breakdown(&self) -> MissBreakdown {
-        MissBreakdown {
-            first_seen: self.miss_first_seen.load(Ordering::Relaxed),
-            config_mismatch: self.miss_config_mismatch.load(Ordering::Relaxed),
-            budget_retry: self.miss_budget_retry.load(Ordering::Relaxed),
-            near_miss: self.miss_near_miss.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Cache hits since creation (or the last [`reset_counters`](Self::reset_counters)).
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Cache misses since creation (or the last [`reset_counters`](Self::reset_counters)).
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
     /// Number of distinct cached queries.
     pub fn len(&self) -> usize {
         self.map.lock().unwrap().len()
@@ -501,22 +441,9 @@ impl QueryCache {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Drops all entries (counters are kept).
-    pub fn clear(&self) {
-        self.map.lock().unwrap().clear();
-    }
-
-    /// Zeroes the hit/miss counters (entries are kept). Benchmarks use this
-    /// to attribute traffic to a single run of the process-wide cache.
-    pub fn reset_counters(&self) {
-        self.hits.store(0, Ordering::Relaxed);
-        self.misses.store(0, Ordering::Relaxed);
-    }
 }
 
-/// The process-wide cache used by [`SmtSession::new`] and the deprecated
-/// free-function shims.
+/// The process-wide cache every [`SmtSession::new`] session shares.
 pub fn global_cache() -> &'static Arc<QueryCache> {
     static CACHE: OnceLock<Arc<QueryCache>> = OnceLock::new();
     CACHE.get_or_init(|| Arc::new(QueryCache::new()))
@@ -636,129 +563,77 @@ struct AuditDelta {
     removed: u64,
 }
 
+/// How the session's one query path answered.
+enum Answer {
+    /// From the cache, without solving.
+    Cached(Verdict),
+    /// By the solver (a cache miss, or a `Sat` re-solved for its model).
+    Solved(SmtResult),
+}
+
 // ---------------------------------------------------------------------------
 // the session
 // ---------------------------------------------------------------------------
 
-/// Per-session query counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SessionStats {
-    /// Total queries issued through this session.
-    pub queries: u64,
-    /// Queries answered from the shared cache without solving.
-    pub cache_hits: u64,
-    /// Queries that required an actual solve.
-    pub cache_misses: u64,
-    /// Model-producing checks whose verdict was cached as satisfiable and
-    /// therefore had to re-solve to recover a model for this arena.
-    pub sat_resolves: u64,
-    /// Budget-limited `Unknown` results retried once at doubled budgets.
-    pub retries: u64,
-    /// Cached budget-limited `Unknown` entries replaced in place because a
-    /// retry at larger budgets reached a definitive verdict.
-    pub cache_upgrades: u64,
-    /// Final `Unknown` answers (after any retry) that hit the wall-clock
-    /// deadline.
-    pub unknown_deadline: u64,
-    /// Final `Unknown` answers caused by an external cancellation.
-    pub unknown_cancelled: u64,
-    /// Final `Unknown` answers that exhausted a step or round limit.
-    pub unknown_step_limit: u64,
-    /// Final `Unknown` answers degraded from an arithmetic overflow in the
-    /// exact rational LIA core.
-    pub unknown_overflow: u64,
-    /// Misses classified [`MissCause::FirstSeen`].
-    pub miss_first_seen: u64,
-    /// Misses classified [`MissCause::ConfigMismatch`].
-    pub miss_config_mismatch: u64,
-    /// Misses classified [`MissCause::BudgetRetry`].
-    pub miss_budget_retry: u64,
-    /// Misses classified [`MissCause::NearMiss`].
-    pub miss_near_miss: u64,
-    /// Consecutive-query pairs measured by the incrementality audit.
-    pub audit_pairs: u64,
-    /// Summed shared-prefix length (atoms) over audited pairs.
-    pub audit_shared_prefix: u64,
-    /// Summed atoms added relative to the previous query.
-    pub audit_added: u64,
-    /// Summed atoms removed relative to the previous query.
-    pub audit_removed: u64,
-    /// Audited pairs that only *extended* the previous query (removed = 0):
-    /// exactly the queries a push-scoped warm start would serve.
-    pub audit_pure_extensions: u64,
-    /// `Unsat` verdicts that carried an unsat core (fresh or cached).
-    pub cores: u64,
-    /// Cores that were fallback over-approximations rather than exact.
-    pub cores_inexact: u64,
+pins_trace::counter_table! {
+    /// Per-session query counters: the view of the cells a session writes
+    /// ([`SmtSession::stats`]). A detached session counts its own traffic;
+    /// a bound one writes the registry's `{prefix}.*` cells, which every
+    /// session bound under the same prefix shares.
+    pub struct SessionStats(prefix) / SessionCounters {
+        /// Total queries issued through this session.
+        queries: u64 = "queries",
+        /// Queries answered from the shared cache without solving.
+        cache_hits: u64 = "cache_hits",
+        /// Queries that required an actual solve.
+        cache_misses: u64 = "cache_misses",
+        /// Model-producing checks whose verdict was cached as satisfiable and
+        /// therefore had to re-solve to recover a model for this arena.
+        sat_resolves: u64 = "sat_resolves",
+        /// Budget-limited `Unknown` results retried once at doubled budgets.
+        retries: u64 = "retries",
+        /// Cached budget-limited `Unknown` entries replaced in place because a
+        /// retry at larger budgets reached a definitive verdict.
+        cache_upgrades: u64 = "cache_upgrades",
+        /// Final `Unknown` answers (after any retry) that hit the wall-clock
+        /// deadline.
+        unknown_deadline: u64 = "unknown.deadline",
+        /// Final `Unknown` answers caused by an external cancellation.
+        unknown_cancelled: u64 = "unknown.cancelled",
+        /// Final `Unknown` answers that exhausted a step or round limit.
+        unknown_step_limit: u64 = "unknown.step_limit",
+        /// Final `Unknown` answers degraded from an arithmetic overflow in the
+        /// exact rational LIA core.
+        unknown_overflow: u64 = "unknown.overflow",
+        /// Misses classified [`MissCause::FirstSeen`].
+        miss_first_seen: u64 = "miss.first_seen",
+        /// Misses classified [`MissCause::ConfigMismatch`].
+        miss_config_mismatch: u64 = "miss.config_mismatch",
+        /// Misses classified [`MissCause::BudgetRetry`].
+        miss_budget_retry: u64 = "miss.budget_retry",
+        /// Misses classified [`MissCause::NearMiss`].
+        miss_near_miss: u64 = "miss.near_miss",
+        /// Consecutive-query pairs measured by the incrementality audit.
+        audit_pairs: u64 = "audit.pairs",
+        /// Summed shared-prefix length (atoms) over audited pairs.
+        audit_shared_prefix: u64 = "audit.shared_prefix",
+        /// Summed atoms added relative to the previous query.
+        audit_added: u64 = "audit.added",
+        /// Summed atoms removed relative to the previous query.
+        audit_removed: u64 = "audit.removed",
+        /// Audited pairs that only *extended* the previous query (removed = 0):
+        /// exactly the queries a push-scoped warm start would serve.
+        audit_pure_extensions: u64 = "audit.pure_extensions",
+        /// Time spent in uncached solves (cache misses and sat re-solves).
+        solve_time: Duration = "audit.solve_ns",
+        /// `Unsat` verdicts that carried an unsat core (fresh or cached).
+        cores: u64 = "cores",
+        /// Cores that were fallback over-approximations rather than exact.
+        cores_inexact: u64 = "cores.inexact",
+    }
 }
 
 impl SessionStats {
-    /// Folds another session's counters into this one (used when joining
-    /// worker sessions back into the parent).
-    pub fn absorb(&mut self, other: &SessionStats) {
-        self.queries += other.queries;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.sat_resolves += other.sat_resolves;
-        self.retries += other.retries;
-        self.cache_upgrades += other.cache_upgrades;
-        self.unknown_deadline += other.unknown_deadline;
-        self.unknown_cancelled += other.unknown_cancelled;
-        self.unknown_step_limit += other.unknown_step_limit;
-        self.unknown_overflow += other.unknown_overflow;
-        self.miss_first_seen += other.miss_first_seen;
-        self.miss_config_mismatch += other.miss_config_mismatch;
-        self.miss_budget_retry += other.miss_budget_retry;
-        self.miss_near_miss += other.miss_near_miss;
-        self.audit_pairs += other.audit_pairs;
-        self.audit_shared_prefix += other.audit_shared_prefix;
-        self.audit_added += other.audit_added;
-        self.audit_removed += other.audit_removed;
-        self.audit_pure_extensions += other.audit_pure_extensions;
-        self.cores += other.cores;
-        self.cores_inexact += other.cores_inexact;
-    }
-
-    /// Bumps the per-reason counter for a final `Unknown` answer.
-    fn note_unknown(&mut self, reason: StopReason) {
-        match reason {
-            StopReason::Deadline => self.unknown_deadline += 1,
-            StopReason::Cancelled => self.unknown_cancelled += 1,
-            StopReason::StepLimit => self.unknown_step_limit += 1,
-            StopReason::Overflow => self.unknown_overflow += 1,
-        }
-    }
-
-    /// Reconstructs the counters from `registry` cells under `prefix`
-    /// (e.g. `"smt"`) — the typed view over what sessions bound with
-    /// [`SmtSession::bind_metrics`] wrote through at event time.
-    pub fn from_registry(registry: &MetricsRegistry, prefix: &str) -> SessionStats {
-        let g = |name: &str| registry.get(&format!("{prefix}.{name}"));
-        SessionStats {
-            queries: g("queries"),
-            cache_hits: g("cache_hits"),
-            cache_misses: g("cache_misses"),
-            sat_resolves: g("sat_resolves"),
-            retries: g("retries"),
-            cache_upgrades: g("cache_upgrades"),
-            unknown_deadline: g("unknown.deadline"),
-            unknown_cancelled: g("unknown.cancelled"),
-            unknown_step_limit: g("unknown.step_limit"),
-            unknown_overflow: g("unknown.overflow"),
-            miss_first_seen: g("miss.first_seen"),
-            miss_config_mismatch: g("miss.config_mismatch"),
-            miss_budget_retry: g("miss.budget_retry"),
-            miss_near_miss: g("miss.near_miss"),
-            audit_pairs: g("audit.pairs"),
-            audit_shared_prefix: g("audit.shared_prefix"),
-            audit_added: g("audit.added"),
-            audit_removed: g("audit.removed"),
-            audit_pure_extensions: g("audit.pure_extensions"),
-            cores: g("cores"),
-            cores_inexact: g("cores.inexact"),
-        }
-    }
-
     /// Queries attributed to `phase` — the `{prefix}.queries.phase.{tag}`
     /// cell bound sessions write through. The cells over all of
     /// [`PHASES`] partition `{prefix}.queries`.
@@ -773,45 +648,17 @@ impl SessionStats {
     }
 }
 
-/// Registry counter handles a session writes through *at event time*, so
-/// queries issued by forked worker sessions land in the same cells their
-/// parent reads — serial and parallel runs report identical totals by
-/// construction, instead of summing per-worker structs after the fact.
-///
-/// The default handles are detached (not in any registry): sessions always
-/// write through them, and binding just swaps in shared cells.
-#[derive(Debug, Clone, Default)]
+/// The registry handles a session writes through at event time: its
+/// [`SessionStats`] counters, plus the histograms and per-phase cells that
+/// have no field there. Detached until [`SmtSession::bind_metrics`].
+#[derive(Debug, Default)]
 struct SessionMetrics {
-    queries: Counter,
-    cache_hits: Counter,
-    cache_misses: Counter,
-    sat_resolves: Counter,
-    retries: Counter,
-    cache_upgrades: Counter,
-    unknown_deadline: Counter,
-    unknown_cancelled: Counter,
-    unknown_step_limit: Counter,
-    unknown_overflow: Counter,
-    miss_first_seen: Counter,
-    miss_config_mismatch: Counter,
-    miss_budget_retry: Counter,
-    miss_near_miss: Counter,
-    audit_pairs: Counter,
-    audit_shared_prefix: Counter,
-    audit_added: Counter,
-    audit_removed: Counter,
-    audit_pure_extensions: Counter,
-    /// Summed nanoseconds spent in uncached solves (cache misses and sat
-    /// re-solves).
-    audit_solve_ns: Counter,
-    cores: Counter,
-    cores_inexact: Counter,
+    counters: SessionCounters,
     /// Log-scaled assertion-set delta (added + removed atoms) between
     /// consecutive queries. Bound as `{prefix}.audit.delta_atoms`.
     audit_delta_atoms: Histogram,
     /// Log-scaled end-to-end query latency (nanoseconds, cache hits
-    /// included). Bound as `{prefix}.query_ns`; forked workers share the
-    /// buckets, so serial and parallel runs fill identical cells.
+    /// included). Bound as `{prefix}.query_ns`.
     query_ns: Histogram,
     /// Query count per originating [`Phase`] (`{prefix}.queries.phase.{tag}`).
     queries_by_phase: [Counter; PHASES.len()],
@@ -824,28 +671,7 @@ impl SessionMetrics {
     fn bind(registry: &MetricsRegistry, prefix: &str) -> SessionMetrics {
         let c = |name: &str| registry.counter(&format!("{prefix}.{name}"));
         SessionMetrics {
-            queries: c("queries"),
-            cache_hits: c("cache_hits"),
-            cache_misses: c("cache_misses"),
-            sat_resolves: c("sat_resolves"),
-            retries: c("retries"),
-            cache_upgrades: c("cache_upgrades"),
-            unknown_deadline: c("unknown.deadline"),
-            unknown_cancelled: c("unknown.cancelled"),
-            unknown_step_limit: c("unknown.step_limit"),
-            unknown_overflow: c("unknown.overflow"),
-            miss_first_seen: c("miss.first_seen"),
-            miss_config_mismatch: c("miss.config_mismatch"),
-            miss_budget_retry: c("miss.budget_retry"),
-            miss_near_miss: c("miss.near_miss"),
-            audit_pairs: c("audit.pairs"),
-            audit_shared_prefix: c("audit.shared_prefix"),
-            audit_added: c("audit.added"),
-            audit_removed: c("audit.removed"),
-            audit_pure_extensions: c("audit.pure_extensions"),
-            audit_solve_ns: c("audit.solve_ns"),
-            cores: c("cores"),
-            cores_inexact: c("cores.inexact"),
+            counters: SessionCounters::bind(registry, prefix),
             audit_delta_atoms: registry.histogram(&format!("{prefix}.audit.delta_atoms")),
             query_ns: registry.histogram(&format!("{prefix}.query_ns")),
             queries_by_phase: std::array::from_fn(|i| {
@@ -858,17 +684,18 @@ impl SessionMetrics {
     }
 
     fn note_unknown(&self, reason: StopReason) {
+        let c = &self.counters;
         match reason {
-            StopReason::Deadline => self.unknown_deadline.inc(),
-            StopReason::Cancelled => self.unknown_cancelled.inc(),
-            StopReason::StepLimit => self.unknown_step_limit.inc(),
-            StopReason::Overflow => self.unknown_overflow.inc(),
+            StopReason::Deadline => c.unknown_deadline.inc(),
+            StopReason::Cancelled => c.unknown_cancelled.inc(),
+            StopReason::StepLimit => c.unknown_step_limit.inc(),
+            StopReason::Overflow => c.unknown_overflow.inc(),
         }
     }
 
     /// Bumps the total and per-phase query counters (one query issued).
     fn note_query(&self, phase: Phase) {
-        self.queries.inc();
+        self.counters.queries.inc();
         self.queries_by_phase[phase as usize].inc();
     }
 
@@ -921,13 +748,13 @@ pub struct SmtSession {
     /// of the cache key: it is external state (a caller-owned kill switch),
     /// not part of what the query *means*.
     budget: Budget,
-    /// Counters for this session's traffic.
-    pub stats: SessionStats,
-    /// Registry write-through handles (detached until [`bind_metrics`](Self::bind_metrics)).
+    /// Where this session's counters are written (detached until
+    /// [`bind_metrics`](Self::bind_metrics)); read them with
+    /// [`stats`](Self::stats).
     metrics: SessionMetrics,
     /// Where queries come from: the engine mutates this shared context as
     /// the run moves through iterations/phases/paths, and every query span
-    /// and per-phase counter reads it. Forks share the handle.
+    /// and per-phase counter reads it.
     prov: ProvenanceCtx,
     /// The unsat core of the most recent query, when that query was `Unsat`
     /// and core tracking was on (fresh solve or cache hit with a stored
@@ -951,7 +778,7 @@ impl SmtSession {
     }
 
     /// A session over an explicit cache — tests use a private cache for
-    /// isolation; workers share their parent's.
+    /// isolation.
     pub fn with_cache(config: SmtConfig, cache: Arc<QueryCache>) -> SmtSession {
         let config_fp = config_fingerprint(&config);
         SmtSession {
@@ -963,7 +790,6 @@ impl SmtSession {
             fp_memo: HashMap::new(),
             cache,
             budget: Budget::unlimited(),
-            stats: SessionStats::default(),
             metrics: SessionMetrics::default(),
             prov: ProvenanceCtx::default(),
             last_core: None,
@@ -974,17 +800,19 @@ impl SmtSession {
     }
 
     /// Binds this session's counters to `registry` cells under `prefix`
-    /// (e.g. `"smt"` yields `smt.queries`, `smt.cache_hits`, ...). Forked
-    /// worker sessions inherit the binding, so their traffic lands in the
-    /// same cells at event time; read the totals back with
-    /// [`SessionStats::from_registry`].
+    /// (e.g. `"smt"` yields `smt.queries`, `smt.cache_hits`, ...); read the
+    /// totals back with [`SessionStats::from_registry`].
     pub fn bind_metrics(&mut self, registry: &MetricsRegistry, prefix: &str) {
         self.metrics = SessionMetrics::bind(registry, prefix);
     }
 
+    /// The counters this session writes: its own traffic while detached,
+    /// the shared `{prefix}.*` registry cells once bound.
+    pub fn stats(&self) -> SessionStats {
+        self.metrics.counters.view()
+    }
+
     /// Installs the shared provenance context queries are attributed to.
-    /// Forked worker sessions inherit the handle, so the engine's phase and
-    /// iteration updates are visible to every worker's query spans.
     pub fn set_provenance(&mut self, prov: ProvenanceCtx) {
         self.prov = prov;
     }
@@ -1069,34 +897,6 @@ impl SmtSession {
     /// How many scopes are open.
     pub fn depth(&self) -> usize {
         self.frames.len()
-    }
-
-    /// A worker session: same scope, memo, and configuration, sharing the
-    /// same cache, with fresh per-session counters. Valid for use with the
-    /// arena this session was used with or any clone of it (term ids are
-    /// stable under cloning because the arena is append-only).
-    pub fn fork(&self) -> SmtSession {
-        SmtSession {
-            config: self.config,
-            config_fp: self.config_fp,
-            assertions: self.assertions.clone(),
-            axioms: self.axioms.clone(),
-            frames: self.frames.clone(),
-            fp_memo: self.fp_memo.clone(),
-            cache: Arc::clone(&self.cache),
-            budget: self.budget.clone(),
-            stats: SessionStats::default(),
-            // shares the parent's registry cells: worker traffic is counted
-            // where the parent (and the harness) reads it
-            metrics: self.metrics.clone(),
-            prov: self.prov.clone(),
-            last_core: None,
-            // the audit baseline carries over: the worker's first query is
-            // measured against the last query before the fork
-            last_ordered: self.last_ordered.clone(),
-            last_sorted: self.last_sorted.clone(),
-            audit_primed: self.audit_primed,
-        }
     }
 
     /// The normalized shape of the current scope plus `assumptions`: every
@@ -1253,11 +1053,9 @@ impl SmtSession {
     /// Books an `Unsat` verdict's core into `last_core`, the counters, and
     /// (when tracing) the query span.
     fn note_core(&mut self, core: UnsatCore, span: &mut pins_trace::Span) {
-        self.stats.cores += 1;
-        self.metrics.cores.inc();
+        self.metrics.counters.cores.inc();
         if !core.exact {
-            self.stats.cores_inexact += 1;
-            self.metrics.cores_inexact.inc();
+            self.metrics.counters.cores_inexact.inc();
         }
         if span.is_active() {
             span.record_u64("core_size", core.members.len() as u64);
@@ -1300,17 +1098,13 @@ impl SmtSession {
             }
             added += (a.len() - i) as u64;
             removed += (b.len() - j) as u64;
-            self.stats.audit_pairs += 1;
-            self.stats.audit_shared_prefix += shared_prefix;
-            self.stats.audit_added += added;
-            self.stats.audit_removed += removed;
-            self.metrics.audit_pairs.inc();
-            self.metrics.audit_shared_prefix.add(shared_prefix);
-            self.metrics.audit_added.add(added);
-            self.metrics.audit_removed.add(removed);
+            let c = &self.metrics.counters;
+            c.audit_pairs.inc();
+            c.audit_shared_prefix.add(shared_prefix);
+            c.audit_added.add(added);
+            c.audit_removed.add(removed);
             if removed == 0 {
-                self.stats.audit_pure_extensions += 1;
-                self.metrics.audit_pure_extensions.inc();
+                c.audit_pure_extensions.inc();
             }
             self.metrics.audit_delta_atoms.record(added + removed);
             Some(AuditDelta {
@@ -1347,29 +1141,16 @@ impl SmtSession {
     /// Books a cache miss: classifies it against the forensics index, bumps
     /// the per-cause counters, and stamps the query span.
     fn note_miss(&mut self, shape: &QueryShape, span: &mut pins_trace::Span) {
-        self.stats.cache_misses += 1;
-        self.metrics.cache_misses.inc();
+        let c = &self.metrics.counters;
+        c.cache_misses.inc();
         let (cause, near_delta) = self
             .cache
             .classify_miss(shape.structural_key(), &shape.sorted);
-        self.cache.note_miss_cause(cause);
         match cause {
-            MissCause::FirstSeen => {
-                self.stats.miss_first_seen += 1;
-                self.metrics.miss_first_seen.inc();
-            }
-            MissCause::ConfigMismatch => {
-                self.stats.miss_config_mismatch += 1;
-                self.metrics.miss_config_mismatch.inc();
-            }
-            MissCause::BudgetRetry => {
-                self.stats.miss_budget_retry += 1;
-                self.metrics.miss_budget_retry.inc();
-            }
-            MissCause::NearMiss => {
-                self.stats.miss_near_miss += 1;
-                self.metrics.miss_near_miss.inc();
-            }
+            MissCause::FirstSeen => c.miss_first_seen.inc(),
+            MissCause::ConfigMismatch => c.miss_config_mismatch.inc(),
+            MissCause::BudgetRetry => c.miss_budget_retry.inc(),
+            MissCause::NearMiss => c.miss_near_miss.inc(),
         }
         if span.is_active() {
             span.record_str("miss_cause", cause.as_str());
@@ -1401,8 +1182,7 @@ impl SmtSession {
             // a cancellation is a caller's kill switch, not a budget the
             // query outgrew: never retry it
             if self.config.retry_unknown && reason != StopReason::Cancelled {
-                self.stats.retries += 1;
-                self.metrics.retries.inc();
+                self.metrics.counters.retries.inc();
                 let escalated = self.config.escalate();
                 let (retried, retried_core) = self.solve(arena, assumptions, escalated);
                 let esc_key = shape.key_for(config_fingerprint(&escalated));
@@ -1414,15 +1194,13 @@ impl SmtSession {
                 if !matches!(retried, SmtResult::Unknown(_)) {
                     // the larger budget settled it: upgrade the entry the
                     // original key would otherwise pin to Unknown
-                    self.stats.cache_upgrades += 1;
-                    self.metrics.cache_upgrades.inc();
+                    self.metrics.counters.cache_upgrades.inc();
                 }
                 result = retried;
                 tracked = retried_core;
             }
         }
         if let SmtResult::Unknown(reason) = result {
-            self.stats.note_unknown(reason);
             self.metrics.note_unknown(reason);
         }
         let verdict = Verdict::of(&result);
@@ -1451,9 +1229,33 @@ impl SmtSession {
     /// satisfiable verdict still re-solves, because models cannot be shared
     /// across arenas (counted in [`SessionStats::sat_resolves`]).
     pub fn check_under(&mut self, arena: &mut TermArena, assumptions: &[TermId]) -> SmtResult {
+        match self.query(arena, assumptions, true) {
+            Answer::Solved(result) => result,
+            Answer::Cached(Verdict::Unsat) => SmtResult::Unsat,
+            Answer::Cached(Verdict::Unknown { reason }) => SmtResult::Unknown(reason),
+            Answer::Cached(Verdict::Sat { .. }) => {
+                unreachable!("a cached Sat verdict is re-solved for its model")
+            }
+        }
+    }
+
+    /// The verdict of the current scope plus `assumptions`, without a model.
+    /// Any cached verdict short-circuits the solver entirely.
+    pub fn verdict_under(&mut self, arena: &mut TermArena, assumptions: &[TermId]) -> Verdict {
+        match self.query(arena, assumptions, false) {
+            Answer::Cached(verdict) => verdict,
+            Answer::Solved(result) => Verdict::of(&result),
+        }
+    }
+
+    /// The one query path behind [`check_under`](Self::check_under) and
+    /// [`verdict_under`](Self::verdict_under): counts the query, opens its
+    /// span, measures its shape and audit delta, then answers from the cache
+    /// or solves. With `need_model`, a cached `Sat` verdict is solved again
+    /// ([`SessionStats::sat_resolves`]).
+    fn query(&mut self, arena: &mut TermArena, assumptions: &[TermId], need_model: bool) -> Answer {
         let started = Instant::now();
         let phase = self.prov.phase();
-        self.stats.queries += 1;
         self.metrics.note_query(phase);
         self.last_core = None;
         let mut span = self.query_span(assumptions.len());
@@ -1461,61 +1263,46 @@ impl SmtSession {
         let delta = self.note_audit(&shape);
         self.stamp_audit(&mut span, &shape, delta.as_ref());
         let key = shape.key_for(self.config_fp);
-        let cached: Option<SmtResult> = match self.cache.lookup(key) {
-            Some(entry) => match entry.verdict {
-                Verdict::Unsat => {
-                    self.stats.cache_hits += 1;
-                    self.metrics.cache_hits.inc();
-                    span.record("cached", true);
-                    span.record_str("verdict", "unsat");
-                    if let Some(c) = &entry.core {
-                        let core = self.core_of_cached(&shape, c);
-                        self.note_core(core, &mut span);
-                    }
-                    Some(SmtResult::Unsat)
+        let answer = match self.cache.lookup(key) {
+            Some(entry) if !(need_model && entry.verdict.is_sat()) => {
+                self.metrics.counters.cache_hits.inc();
+                if let (Verdict::Unsat, Some(c)) = (entry.verdict, &entry.core) {
+                    let core = self.core_of_cached(&shape, c);
+                    self.note_core(core, &mut span);
                 }
-                Verdict::Unknown { reason } => {
-                    self.stats.cache_hits += 1;
-                    self.metrics.cache_hits.inc();
-                    span.record("cached", true);
-                    span.record_str("verdict", "unknown");
-                    Some(SmtResult::Unknown(reason))
-                }
-                Verdict::Sat { .. } => {
-                    self.stats.cache_hits += 1;
-                    self.stats.sat_resolves += 1;
-                    self.metrics.cache_hits.inc();
-                    self.metrics.sat_resolves.inc();
-                    None
-                }
-            },
-            None => {
-                self.note_miss(&shape, &mut span);
-                None
+                Answer::Cached(entry.verdict)
             }
-        };
-        let result = match cached {
-            Some(r) => r,
-            None => {
+            hit => {
+                if hit.is_some() {
+                    // a cached `Sat`, solved again for a model in this arena
+                    self.metrics.counters.cache_hits.inc();
+                    self.metrics.counters.sat_resolves.inc();
+                } else {
+                    self.note_miss(&shape, &mut span);
+                }
                 let t0 = Instant::now();
-                let r = self.solve_and_cache(arena, assumptions, &shape, key, &mut span);
-                self.metrics.audit_solve_ns.add_duration(t0.elapsed());
-                if span.is_active() {
-                    span.record("cached", false);
-                    span.record_str(
-                        "verdict",
-                        match &r {
-                            SmtResult::Sat(_) => "sat",
-                            SmtResult::Unsat => "unsat",
-                            SmtResult::Unknown(_) => "unknown",
-                        },
-                    );
-                }
-                r
+                let result = self.solve_and_cache(arena, assumptions, &shape, key, &mut span);
+                self.metrics.counters.solve_time.add_duration(t0.elapsed());
+                Answer::Solved(result)
             }
         };
+        if span.is_active() {
+            let (cached, verdict) = match &answer {
+                Answer::Cached(v) => (true, *v),
+                Answer::Solved(r) => (false, Verdict::of(r)),
+            };
+            span.record("cached", cached);
+            span.record_str(
+                "verdict",
+                match verdict {
+                    Verdict::Sat { .. } => "sat",
+                    Verdict::Unsat => "unsat",
+                    Verdict::Unknown { .. } => "unknown",
+                },
+            );
+        }
         self.metrics.note_latency(phase, started.elapsed());
-        result
+        answer
     }
 
     /// Opens the per-query trace span, stamping the shared budget's
@@ -1548,54 +1335,6 @@ impl SmtSession {
             }
         }
         span
-    }
-
-    /// The verdict of the current scope plus `assumptions`, without a model.
-    /// Any cached verdict short-circuits the solver entirely.
-    pub fn verdict_under(&mut self, arena: &mut TermArena, assumptions: &[TermId]) -> Verdict {
-        let started = Instant::now();
-        let phase = self.prov.phase();
-        self.stats.queries += 1;
-        self.metrics.note_query(phase);
-        self.last_core = None;
-        let mut span = self.query_span(assumptions.len());
-        let shape = self.query_shape(arena, assumptions);
-        let delta = self.note_audit(&shape);
-        self.stamp_audit(&mut span, &shape, delta.as_ref());
-        let key = shape.key_for(self.config_fp);
-        let (verdict, cached) = match self.cache.lookup(key) {
-            Some(entry) => {
-                self.stats.cache_hits += 1;
-                self.metrics.cache_hits.inc();
-                if entry.verdict.is_unsat() {
-                    if let Some(c) = &entry.core {
-                        let core = self.core_of_cached(&shape, c);
-                        self.note_core(core, &mut span);
-                    }
-                }
-                (entry.verdict, true)
-            }
-            None => {
-                self.note_miss(&shape, &mut span);
-                let t0 = Instant::now();
-                let r = self.solve_and_cache(arena, assumptions, &shape, key, &mut span);
-                self.metrics.audit_solve_ns.add_duration(t0.elapsed());
-                (Verdict::of(&r), false)
-            }
-        };
-        if span.is_active() {
-            span.record("cached", cached);
-            span.record_str(
-                "verdict",
-                match verdict {
-                    Verdict::Sat { .. } => "sat",
-                    Verdict::Unsat => "unsat",
-                    Verdict::Unknown { .. } => "unknown",
-                },
-            );
-        }
-        self.metrics.note_latency(phase, started.elapsed());
-        verdict
     }
 
     /// Whether the current scope plus `assumptions` is provably

@@ -10,7 +10,7 @@ use pins_budget::{Budget, StopReason};
 use pins_ir::{EHoleId, Expr, LoopId, PHoleId, Pred, Program, Stmt, VarId};
 use pins_logic::{collect_subterms, Sort, Term, TermId};
 use pins_smt::{SmtConfig, SmtSession};
-use pins_trace::{Counter, MetricsRegistry};
+use pins_trace::MetricsRegistry;
 
 use crate::ctx::{version_of, HoleKind, SymCtx, VersionMap};
 
@@ -142,11 +142,6 @@ pub struct Explorer<'p> {
     /// Shared cancellation/deadline budget, polled periodically between
     /// symbolic steps (feasibility queries poll it inside the solver).
     budget: Budget,
-    /// Count of SMT feasibility queries issued (instrumentation).
-    pub feasibility_queries: u64,
-    /// Registry write-through for feasibility queries (detached until
-    /// [`bind_metrics`](Self::bind_metrics)).
-    feas_counter: Counter,
     /// Set when the last search stopped on the step budget rather than by
     /// exhausting the (bounded) path space.
     pub budget_hit: bool,
@@ -171,8 +166,6 @@ impl<'p> Explorer<'p> {
             steps: 0,
             session,
             budget: Budget::unlimited(),
-            feasibility_queries: 0,
-            feas_counter: Counter::detached(),
             budget_hit: false,
             stop_reason: None,
         }
@@ -185,13 +178,12 @@ impl<'p> Explorer<'p> {
         self.budget = budget;
     }
 
-    /// Binds this explorer's counters to `registry`: feasibility queries go
-    /// to `explore.feasibility_queries`, and the internal solver session's
-    /// traffic goes under `session_prefix` (e.g. `"feas"`), kept separate
-    /// from the engine's own `smt.*` cells.
+    /// Binds the internal solver session's counters to `registry` under
+    /// `session_prefix` (e.g. `"feas"`), kept separate from the engine's own
+    /// `smt.*` cells. Every feasibility query is one query of that session,
+    /// so `{session_prefix}.queries` counts them.
     pub fn bind_metrics(&mut self, registry: &MetricsRegistry, session_prefix: &str) {
         self.session.bind_metrics(registry, session_prefix);
-        self.feas_counter = registry.counter("explore.feasibility_queries");
     }
 
     /// Installs the shared provenance context on the internal solver
@@ -225,7 +217,7 @@ impl<'p> Explorer<'p> {
         self.budget_hit = false;
         self.stop_reason = None;
         let mut span = pins_trace::span("symexec.explore_one");
-        let queries_before = self.feasibility_queries;
+        let queries_before = self.session.stats().queries;
         let mut out = Vec::new();
         let state = self.initial_state();
         self.search(ctx, filler, avoid, state, &Mode::FindOne, &mut out);
@@ -234,7 +226,7 @@ impl<'p> Explorer<'p> {
             span.record_u64("steps", self.steps);
             span.record_u64(
                 "feasibility_queries",
-                self.feasibility_queries - queries_before,
+                self.session.stats().queries - queries_before,
             );
             span.record("found", found.is_some());
             span.record("budget_hit", self.budget_hit);
@@ -256,7 +248,7 @@ impl<'p> Explorer<'p> {
         self.budget_hit = false;
         self.stop_reason = None;
         let mut span = pins_trace::span("symexec.enumerate");
-        let queries_before = self.feasibility_queries;
+        let queries_before = self.session.stats().queries;
         let mut out = Vec::new();
         let avoid = HashSet::new();
         let state = self.initial_state();
@@ -272,7 +264,7 @@ impl<'p> Explorer<'p> {
             span.record_u64("steps", self.steps);
             span.record_u64(
                 "feasibility_queries",
-                self.feasibility_queries - queries_before,
+                self.session.stats().queries - queries_before,
             );
             span.record_u64("paths", out.len() as u64);
             span.record_u64("limit", limit as u64);
@@ -285,8 +277,6 @@ impl<'p> Explorer<'p> {
         if !self.config.check_feasibility {
             return true;
         }
-        self.feasibility_queries += 1;
-        self.feas_counter.inc();
         !self
             .session
             .verdict_under(&mut ctx.arena, substituted)

@@ -2,12 +2,10 @@
 //!
 //! A [`Histogram`] is 64 power-of-two buckets of `AtomicU64` counts behind
 //! an `Arc`, so recording is one relaxed atomic add — no allocation, no
-//! lock — and cloning a handle shares the cells. That sharing is the merge
-//! story for forked verification workers: a worker session's histogram
-//! handle points at the *same* buckets its parent reads, so "merging" is
-//! automatic and serial/parallel runs fill identical cells. An explicit
-//! [`absorb`](Histogram::absorb) exists for combining histograms that were
-//! recorded independently (e.g. one registry per benchmark).
+//! lock — and cloning a handle shares the cells: every session bound to a
+//! registry name records into the buckets the registry reads.
+//! [`HistSnapshot::merge`] combines snapshots taken from different
+//! registries (e.g. one per benchmark).
 //!
 //! # Binning
 //!
@@ -85,18 +83,6 @@ impl Histogram {
     #[inline]
     pub fn record_duration(&self, d: Duration) {
         self.record(d.as_nanos() as u64);
-    }
-
-    /// Adds every bucket count of `other` into this histogram. Used to
-    /// merge histograms recorded into *different* cells (handles cloned
-    /// from the same registry share cells and need no merging).
-    pub fn absorb(&self, other: &Histogram) {
-        let snap = other.snapshot();
-        for (i, n) in snap.buckets.iter().enumerate() {
-            if *n > 0 {
-                self.cells.buckets[i].fetch_add(*n, Ordering::Relaxed);
-            }
-        }
     }
 
     /// A point-in-time copy of the bucket counts.
@@ -221,7 +207,7 @@ mod tests {
     }
 
     #[test]
-    fn cloned_handles_share_cells_and_absorb_merges_disjoint_ones() {
+    fn cloned_handles_share_cells() {
         let h = Histogram::detached();
         let clone = h.clone();
         clone.record(10);
@@ -231,9 +217,7 @@ mod tests {
         let other = Histogram::detached();
         assert!(!h.same_cells(&other));
         other.record(10);
-        other.record(1_000_000);
-        h.absorb(&other);
-        assert_eq!(h.count(), 3);
+        assert_eq!(h.count(), 1, "detached histograms keep their own buckets");
     }
 
     /// An empty histogram must report zero for every quantile, not panic

@@ -8,14 +8,13 @@
 //!
 //! * **[`MetricsRegistry`]** — a thread-safe registry of named atomic
 //!   counters and duration accumulators. One registry per synthesis run is
-//!   the single source of truth for every statistic the stack reports;
-//!   the legacy `SolveStats` / `SessionStats` / `PinsStats` structs are
-//!   typed views over it. Counter handles are cheap `Arc<AtomicU64>`
-//!   clones, so parallel verification workers bump the *same* cells their
-//!   parent reads — no after-the-fact merging, no drift.
+//!   the single place every statistic the stack reports is written. Each
+//!   layer declares its cells in one [`counter_table!`], which generates
+//!   the `Counter` handles its hot paths bump and its typed view
+//!   (`SessionStats`, `SolveStats`, ...); `PinsStats` composes those views.
 //! * **[`span`]** — RAII spans with monotonic timing and per-thread span
-//!   stacks, so events emitted from worker threads are attributed to the
-//!   worker's own open span rather than whatever the main thread is doing.
+//!   stacks, so events emitted from another thread are attributed to that
+//!   thread's own open span rather than whatever the main thread is doing.
 //! * **[`Recorder`]** — a thread-safe structured-event sink. Events go to
 //!   a JSONL stream (`--trace-out`) or an in-memory ring buffer. Exactly
 //!   one recorder can be [`install`]ed process-wide at a time.

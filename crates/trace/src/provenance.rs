@@ -4,8 +4,8 @@
 //! pathological `smt.query` was issued by `pickOne` in iteration 7 against
 //! path 12. A [`ProvenanceCtx`] is the cheap answer: a shared handle the
 //! engine mutates as the run moves through its phases, and that every
-//! [`SmtSession`](../../pins_smt) (including forked worker sessions) reads
-//! when it opens a query span or bumps a per-phase counter. The fields are
+//! [`SmtSession`](../../pins_smt) reads when it opens a query span or bumps
+//! a per-phase counter. The fields are
 //! plain atomics behind one `Arc`, so updating the context costs a relaxed
 //! store and reading it on a disabled-tracing hot path costs one relaxed
 //! load — no allocation either way (the benchmark name is read only when a
@@ -84,8 +84,8 @@ struct ProvInner {
 }
 
 /// A cheap shared provenance context. Cloning shares the fields: the engine
-/// holds one handle and mutates it; sessions (and their forks) hold clones
-/// and read it at query time.
+/// holds one handle and mutates it; sessions hold clones and read it at
+/// query time.
 #[derive(Debug, Clone)]
 pub struct ProvenanceCtx {
     inner: Arc<ProvInner>,

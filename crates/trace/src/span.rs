@@ -3,11 +3,11 @@
 //! A [`Span`] marks a region of work. Opening one emits a `span_start`
 //! event; dropping it emits `span_end` with the measured duration and any
 //! fields recorded in between. Each thread keeps its own stack of open span
-//! ids, so events emitted from a parallel verification worker are parented
-//! to *that worker's* span, not to whatever the main thread has open.
+//! ids, so events emitted from another thread are parented to *that
+//! thread's* span, not to whatever the main thread has open.
 //!
 //! Spans are unwind-safe: a guard dropped during a panic (e.g. inside the
-//! `catch_unwind` isolation of a verification worker) still closes its span
+//! `catch_unwind` isolation of constraint verification) still closes its span
 //! and repairs the thread's stack, popping any abandoned inner spans along
 //! the way so nesting stays consistent for subsequent spans.
 

@@ -400,16 +400,75 @@ fn registry_durations_and_max() {
     assert_eq!(reg.get("solve.max_clauses"), 10);
 }
 
+crate::counter_table! {
+    /// A two-cell table for the key-table tests.
+    struct ToyStats(prefix) / ToyCounters {
+        /// A count.
+        queries: u64 = "queries",
+        /// A duration.
+        solve_time: Duration = "solve_ns",
+        /// A high-water mark.
+        peak: usize = "peak",
+    }
+    fixed {
+        /// Holds its value and no cell.
+        version: u32 = 7,
+    }
+}
+
+crate::counter_table! {
+    /// A table with full key names.
+    struct RootStats / RootCounters {
+        /// A count.
+        runs: u64 = "root.runs",
+    }
+}
+
 #[test]
-fn registry_snapshot_prefixed_strips_prefix() {
+fn key_table_keys_are_unique_and_in_declaration_order() {
+    assert_eq!(ToyStats::KEYS, ["queries", "solve_ns", "peak"]);
+    let mut keys = ToyStats::KEYS.to_vec();
+    keys.extend(RootStats::KEYS);
+    let n = keys.len();
+    keys.sort_unstable();
+    keys.dedup();
+    assert_eq!(keys.len(), n);
+}
+
+#[test]
+fn key_table_view_equals_the_registry_after_bumps() {
     let reg = MetricsRegistry::new();
-    reg.add("phase.sat", 1);
-    reg.add("phase.symexec", 2);
-    reg.add("smt.queries", 3);
-    let phases = reg.snapshot_prefixed("phase.");
-    assert_eq!(phases.len(), 2);
-    assert_eq!(phases.get("sat"), Some(&1));
-    assert_eq!(phases.get("symexec"), Some(&2));
-    let all = reg.snapshot();
-    assert_eq!(all.len(), 3);
+    let c = ToyCounters::bind(&reg, "toy");
+    c.queries.add(3);
+    c.solve_time.add_duration(Duration::from_micros(5));
+    c.peak.record_max(9);
+    c.peak.record_max(4);
+    let live = c.view();
+    assert_eq!(live, ToyStats::from_registry(&reg, "toy"));
+    assert_eq!(live.queries, 3);
+    assert_eq!(live.solve_time, Duration::from_micros(5));
+    assert_eq!(live.peak, 9);
+    assert_eq!(live.version, 7);
+    assert_eq!(reg.get("toy.queries"), 3);
+    assert_eq!(reg.get("toy.solve_ns"), 5_000);
+    // a second binding under the same prefix shares the cells
+    ToyCounters::bind(&reg, "toy").queries.inc();
+    assert_eq!(c.view().queries, 4);
+
+    let r = RootCounters::bind(&reg);
+    r.runs.inc();
+    assert_eq!(reg.get("root.runs"), 1);
+    assert_eq!(r.view(), RootStats::from_registry(&reg));
+}
+
+#[test]
+fn key_table_detached_handles_count_privately() {
+    let reg = MetricsRegistry::new();
+    let detached = ToyCounters::default();
+    detached.queries.inc();
+    assert_eq!(detached.view().queries, 1);
+    assert!(reg.snapshot().is_empty());
+    let empty = ToyStats::from_registry(&reg, "toy");
+    assert_eq!((empty.queries, empty.peak), (0, 0));
+    assert_eq!(empty.solve_time, Duration::ZERO);
 }

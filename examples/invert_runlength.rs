@@ -32,7 +32,7 @@ fn main() {
         "PINS finished after {} iterations / {} paths in {:.2}s with {} solution(s)",
         outcome.iterations,
         outcome.paths_explored,
-        outcome.total_time.as_secs_f64(),
+        outcome.stats().total_time.as_secs_f64(),
         outcome.solutions.len()
     );
     let inverse = &outcome.solutions[0].inverse;

@@ -67,7 +67,7 @@ proc double_inv(in m: int, out nI: int) {
         outcome.solutions.len(),
         outcome.iterations,
         outcome.paths_explored,
-        outcome.total_time.as_millis()
+        outcome.stats().total_time.as_millis()
     );
     for sol in &outcome.solutions {
         println!("\n{}", program_to_string(&sol.inverse));

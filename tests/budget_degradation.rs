@@ -1,6 +1,6 @@
 //! Integration tests for the degradation ladder: runaway SMT queries must
 //! return `Unknown` with a machine-readable reason instead of hanging, and a
-//! panicking verification worker must degrade that constraint to
+//! panicking constraint verification must degrade that constraint to
 //! "unverified" instead of taking the process down.
 
 use std::time::{Duration, Instant};
@@ -68,7 +68,7 @@ fn runaway_query_degrades_to_unknown_deadline_within_twice_the_limit() {
         elapsed < 2 * deadline,
         "answered after {elapsed:?}, limit was {deadline:?}"
     );
-    assert_eq!(session.stats.unknown_deadline, 1);
+    assert_eq!(session.stats().unknown_deadline, 1);
 }
 
 /// Cancelling the shared budget from outside stops the same runaway query
@@ -120,7 +120,7 @@ fn add7_session() -> Session {
 /// Runs `HoleSolver::solve` on the add7 session with one deliberately
 /// poisoned constraint (an `Int`-sorted goal, which the SMT encoder panics
 /// on) appended, returning the surviving solutions and the panic count.
-fn solve_with_poison(workers: usize) -> (Vec<String>, u64) {
+fn solve_with_poison() -> (Vec<String>, u64) {
     let session = add7_session();
     let domains = build_domains(&session, DomainConfig::default());
     let mut ctx = SymCtx::new(&session.composed);
@@ -133,37 +133,23 @@ fn solve_with_poison(workers: usize) -> (Vec<String>, u64) {
     });
     let mut smt = SmtSession::new(SmtConfig::default());
     let mut solver = HoleSolver::new(&domains);
-    let sols = solver.solve(
-        &mut ctx,
-        &session,
-        &domains,
-        &constraints,
-        4,
-        &mut smt,
-        workers,
-    );
+    let sols = solver.solve(&mut ctx, &session, &domains, &constraints, 4, &mut smt);
     let rendered = sols
         .iter()
         .map(|s| format!("{:?}{:?}", s.exprs, s.preds))
         .collect();
-    (rendered, solver.stats.worker_panics)
+    (rendered, solver.stats().worker_panics)
 }
 
-/// Satellite: a constraint whose verification panics is degraded to
-/// "unverified" (counted, candidate rejected) in both the serial and the
-/// parallel path — and the two paths agree on the surviving solutions.
+/// A constraint whose verification panics is degraded to "unverified"
+/// (counted, candidate rejected) instead of aborting the search. (The
+/// parallel half of this test went with parallel verification.)
 #[test]
 fn panicking_constraint_is_isolated_in_serial_and_parallel_verification() {
-    let (serial_sols, serial_panics) = solve_with_poison(1);
-    let (parallel_sols, parallel_panics) = solve_with_poison(4);
+    let (sols, panics) = solve_with_poison();
 
-    assert!(serial_panics >= 1, "serial path must record the panic");
-    assert!(parallel_panics >= 1, "parallel path must record the panic");
-    assert_eq!(
-        serial_sols, parallel_sols,
-        "worker isolation must not change the result"
-    );
+    assert!(panics >= 1, "verification must record the panic");
     // the poison constraint mentions no holes, so its (deterministic)
     // failure refutes every candidate: no solution survives
-    assert!(serial_sols.is_empty());
+    assert!(sols.is_empty());
 }

@@ -1,20 +1,25 @@
-//! Integration tests for the incremental solver session: parallel
-//! constraint verification must be observationally identical to serial
-//! solving, the process-wide query cache must actually fire on suite
-//! benchmarks, and the one-call `pins::invert` facade works end to end.
+//! Integration tests for the incremental solver session: the deprecated
+//! `verify_workers` knob changes nothing, every counter reads the same from
+//! each layer's view, the process-wide query cache must actually fire on
+//! suite benchmarks, and the one-call `pins::invert` facade works end to
+//! end.
 
+use pins::core::SolveStats;
 use pins::ir::{program_to_string, run, ExternEnv, Store, Value};
 use pins::prelude::*;
+use pins::smt::SessionStats;
 use pins::suite::{benchmark, BenchmarkId};
 
-fn run_with_workers(id: BenchmarkId, workers: usize) -> PinsOutcome {
+fn run_with(id: BenchmarkId, config: PinsConfig) -> PinsOutcome {
     let b = benchmark(id);
     let mut session = b.session();
-    let mut config = b.recommended_config();
-    config.verify_workers = workers;
     Pins::new(config)
         .run(&mut session)
         .unwrap_or_else(|e| panic!("{}: synthesis failed: {e}", b.name()))
+}
+
+fn run_bench(id: BenchmarkId) -> PinsOutcome {
+    run_with(id, benchmark(id).recommended_config())
 }
 
 /// The observable result of a run: every surviving inverse, pretty-printed,
@@ -27,171 +32,114 @@ fn rendered(outcome: &PinsOutcome) -> Vec<String> {
         .collect()
 }
 
-fn assert_parallel_matches_serial(id: BenchmarkId) {
-    let serial = run_with_workers(id, 1);
-    let parallel = run_with_workers(id, 4);
-    assert_eq!(
-        rendered(&serial),
-        rendered(&parallel),
-        "{id:?}: parallel verification changed the solution set"
-    );
-    assert_eq!(
-        serial.iterations, parallel.iterations,
-        "{id:?}: parallel verification changed the iteration count"
-    );
-    assert_eq!(serial.verify_workers, 1);
-    assert_eq!(parallel.verify_workers, 4);
-}
-
+/// `PinsConfig::verify_workers` is deprecated and has no effect: Σi asked
+/// for 1 and for 4 workers gives byte-identical inverses and identical
+/// counts. Both measured runs follow a priming run, so each finds every
+/// query it issues in the process-wide cache and the engine's hit/miss
+/// split is comparable between them.
 #[test]
-fn parallel_matches_serial_on_sum_i() {
-    assert_parallel_matches_serial(BenchmarkId::SumI);
-}
-
-#[test]
-fn parallel_matches_serial_on_lu_decomp() {
-    assert_parallel_matches_serial(BenchmarkId::LuDecomp);
-}
-
-#[test]
-fn parallel_matches_serial_on_serialize() {
-    assert_parallel_matches_serial(BenchmarkId::Serialize);
+#[allow(deprecated)]
+fn verify_workers_has_no_effect_on_sum_i() {
+    let at = |workers: usize| {
+        let mut config = benchmark(BenchmarkId::SumI).recommended_config();
+        config.verify_workers = workers;
+        run_with(BenchmarkId::SumI, config)
+    };
+    at(1);
+    let one = at(1);
+    let four = at(4);
+    assert_eq!(rendered(&one), rendered(&four));
+    let counts = |o: &PinsOutcome| {
+        let p = o.stats();
+        let solve = SolveStats::from_registry(o.metrics());
+        let feas = SessionStats::from_registry(o.metrics(), "feas");
+        [
+            o.iterations as u64,
+            o.paths_explored as u64,
+            solve.candidates_proposed,
+            p.smt_queries,
+            p.smt_cache_hits,
+            p.smt_cache_misses,
+            p.feasibility_queries,
+            feas.cache_hits,
+            feas.cache_misses,
+            p.sat_size as u64,
+            p.sessions_reused,
+            p.worker_panics,
+        ]
+    };
+    assert_eq!(counts(&one), counts(&four));
+    assert_eq!(SolveStats::from_registry(four.metrics()).workers, 1);
 }
 
 #[test]
 fn repeated_runs_hit_the_query_cache() {
     // the normalized-query cache is process-wide: a second identical run
     // must be answered (at least partly) from it
-    let first = run_with_workers(BenchmarkId::SumI, 2);
-    let second = run_with_workers(BenchmarkId::SumI, 2);
+    let first = run_bench(BenchmarkId::SumI);
+    let second = run_bench(BenchmarkId::SumI);
     assert_eq!(rendered(&first), rendered(&second));
     assert!(
-        second.smt_cache_hits > 0,
+        second.stats().smt_cache_hits > 0,
         "second run saw no cache hits: {:?}",
         second.stats()
     );
-    assert!(second.smt_cache_misses <= first.smt_cache_misses);
+    assert!(second.stats().smt_cache_misses <= first.stats().smt_cache_misses);
 }
 
+/// Every layer's view of one run reads the same cells: the engine's
+/// Table-4 view agrees with the solver's and both sessions' views, and the
+/// engine session's hits and misses partition its queries. (The parallel
+/// half of this test went with parallel verification.)
 #[test]
 fn registry_totals_match_typed_stats_in_serial_and_parallel() {
-    // the drift check: every counter is bumped at event time through shared
-    // registry cells (workers included, via forked sessions), so the
-    // registry view must agree exactly with the typed stats that were
-    // absorbed from the workers after the fact — in both execution modes
-    for workers in [1usize, 4] {
-        let outcome = run_with_workers(BenchmarkId::SumI, workers);
-        let s = outcome.stats();
-        let r = pins::core::PinsStats::from_registry(outcome.metrics());
-        assert_eq!(r.smt_queries, s.smt_queries, "workers={workers}");
-        assert_eq!(r.smt_cache_hits, s.smt_cache_hits, "workers={workers}");
-        assert_eq!(r.smt_cache_misses, s.smt_cache_misses, "workers={workers}");
-        assert_eq!(
-            r.feasibility_queries, s.feasibility_queries,
-            "workers={workers}"
-        );
-        assert_eq!(r.verify_workers, s.verify_workers, "workers={workers}");
-        assert_eq!(r.worker_panics, s.worker_panics, "workers={workers}");
-        assert_eq!(r.sat_size, s.sat_size, "workers={workers}");
-        assert_eq!(
-            r.worker_queries.iter().sum::<u64>(),
-            s.worker_queries.iter().sum::<u64>(),
-            "workers={workers}"
-        );
-        // session-level invariant: every query is either a hit or a miss,
-        // with no worker traffic lost or double-counted in the merge
-        let sess = pins::smt::SessionStats::from_registry(outcome.metrics(), "smt");
-        assert_eq!(
-            sess.cache_hits + sess.cache_misses,
-            sess.queries,
-            "workers={workers}"
-        );
-        assert_eq!(sess.cache_hits, s.smt_cache_hits, "workers={workers}");
-        assert_eq!(sess.cache_misses, s.smt_cache_misses, "workers={workers}");
-    }
+    let outcome = run_bench(BenchmarkId::SumI);
+    let s = outcome.stats();
+    let solve = SolveStats::from_registry(outcome.metrics());
+    let sess = SessionStats::from_registry(outcome.metrics(), "smt");
+    let feas = SessionStats::from_registry(outcome.metrics(), "feas");
+    assert_eq!(s.smt_queries, solve.smt_queries);
+    assert_eq!(s.sat_size, solve.sat_size);
+    assert_eq!(s.worker_panics, solve.worker_panics);
+    assert_eq!(s.sessions_reused, solve.sessions_reused);
+    assert_eq!(s.smt_cache_hits, sess.cache_hits);
+    assert_eq!(s.smt_cache_misses, sess.cache_misses);
+    assert_eq!(s.feasibility_queries, feas.queries);
+    assert!(s.feasibility_queries > 0);
+    assert_eq!(sess.cache_hits + sess.cache_misses, sess.queries);
+    // `solve`'s share of the engine session's traffic
+    assert!(solve.cache_hits + solve.cache_misses <= sess.queries);
+    assert_eq!(solve.cache_hits + solve.cache_misses, solve.smt_queries);
+    // one `solve` call per iteration plus the one that stabilized
+    assert_eq!(s.sessions_reused, outcome.iterations as u64);
 }
 
+/// The `smt.query_ns` histogram records one sample per query, and the
+/// per-phase cells partition the same population. (The parallel half of
+/// this test went with parallel verification.)
 #[test]
 fn query_latency_histogram_counts_every_query_across_worker_forks() {
-    // the `smt.query_ns` histogram lives in shared cells that forked worker
-    // sessions write through, so its population must equal the query count
-    // in both execution modes — nothing lost or double-counted in the merge
-    for workers in [1usize, 4] {
-        let outcome = run_with_workers(BenchmarkId::SumI, workers);
-        let sess = pins::smt::SessionStats::from_registry(outcome.metrics(), "smt");
-        let lat = outcome.metrics().histogram_snapshot("smt.query_ns");
-        assert_eq!(
-            lat.count(),
-            sess.queries,
-            "workers={workers}: one latency sample per query"
-        );
-        assert!(lat.p50() <= lat.p90() && lat.p90() <= lat.p99());
-        // per-phase duration counters partition the same population
-        let by_phase: u64 = pins::trace::PHASES
-            .iter()
-            .map(|p| pins::smt::SessionStats::phase_queries(outcome.metrics(), "smt", *p))
-            .sum();
-        assert_eq!(by_phase, sess.queries, "workers={workers}");
-    }
-}
-
-#[test]
-fn histogram_merge_is_identical_serial_vs_forked_threads() {
-    // merge semantics, deterministically: the same sample population must
-    // produce bit-identical snapshots whether recorded through one handle
-    // or through clones on racing threads (the fork()-shared-cells model)
-    let samples: Vec<u64> = (0..4096u64).map(|i| (i * i * 2654435761) >> 16).collect();
-    let serial = pins::trace::Histogram::detached();
-    for &s in &samples {
-        serial.record(s);
-    }
-
-    let registry = pins::trace::MetricsRegistry::new();
-    let shared = registry.histogram("merge.test_ns");
-    let threads: Vec<_> = samples
-        .chunks(1024)
-        .map(|chunk| {
-            let handle = shared.clone(); // what SmtSession::fork does
-            let chunk = chunk.to_vec();
-            std::thread::spawn(move || {
-                for s in chunk {
-                    handle.record(s);
-                }
-            })
-        })
-        .collect();
-    for t in threads {
-        t.join().unwrap();
-    }
-
-    let a = serial.snapshot();
-    let b = registry.histogram_snapshot("merge.test_ns");
-    assert_eq!(a.buckets, b.buckets, "merged buckets must be identical");
-    assert_eq!(a.count(), b.count());
-    assert_eq!((a.p50(), a.p90(), a.p99()), (b.p50(), b.p90(), b.p99()));
-
-    // absorbing disjoint histograms is equivalent to sharing cells
-    let absorbed = pins::trace::Histogram::detached();
-    for chunk in samples.chunks(1024) {
-        let part = pins::trace::Histogram::detached();
-        for &s in chunk {
-            part.record(s);
-        }
-        absorbed.absorb(&part);
-    }
-    assert_eq!(absorbed.snapshot().buckets, a.buckets);
+    let outcome = run_bench(BenchmarkId::SumI);
+    let sess = SessionStats::from_registry(outcome.metrics(), "smt");
+    let lat = outcome.metrics().histogram_snapshot("smt.query_ns");
+    assert_eq!(lat.count(), sess.queries, "one latency sample per query");
+    assert!(lat.p50() <= lat.p90() && lat.p90() <= lat.p99());
+    let by_phase: u64 = pins::trace::PHASES
+        .iter()
+        .map(|p| SessionStats::phase_queries(outcome.metrics(), "smt", *p))
+        .sum();
+    assert_eq!(by_phase, sess.queries);
 }
 
 #[test]
 fn cache_counters_partition_queries_under_fuzz_load() {
     // adversarial load: a few hundred fuzz-generated formulas, each queried
-    // as a growing assumption prefix, the whole batch repeated once, and a
-    // forked worker replaying a slice concurrently. Every query must land in
-    // exactly one of {hit, miss} — the partition may not drift under
-    // generated (rather than benchmark-shaped) traffic.
+    // as a growing assumption prefix, the whole batch repeated once. Every
+    // query must land in exactly one of {hit, miss} — the partition may not
+    // drift under generated (rather than benchmark-shaped) traffic.
     use pins::fuzz::genf::{gen_formula, FormulaConfig};
     use pins::fuzz::{fuzz_smt_config, Decisions};
-    use pins::smt::{QueryCache, SessionStats};
+    use pins::smt::QueryCache;
     use std::sync::Arc;
 
     let registry = MetricsRegistry::new();
@@ -217,26 +165,9 @@ fn cache_counters_partition_queries_under_fuzz_load() {
         }
     }
 
-    // a forked worker shares both the cache and the metric cells
-    let mut worker = session.fork();
-    let worker_issued: u64 = std::thread::spawn(move || {
-        let mut n = 0u64;
-        for seed in 0..20u64 {
-            let mut d = Decisions::record(seed);
-            let f = gen_formula(&mut d, FormulaConfig::default());
-            let mut arena = f.arena.clone();
-            let _ = worker.verdict_under(&mut arena, &f.asserts);
-            n += 1;
-        }
-        n
-    })
-    .join()
-    .expect("worker must not panic");
-
     let stats = SessionStats::from_registry(&registry, "fuzzload");
     assert_eq!(
-        stats.queries,
-        issued + worker_issued,
+        stats.queries, issued,
         "every issued query must be counted exactly once"
     );
     assert_eq!(
@@ -244,10 +175,10 @@ fn cache_counters_partition_queries_under_fuzz_load() {
         stats.queries,
         "hits and misses must partition the query count exactly"
     );
-    // the cache is private to this test, so its own counters must agree
-    // with the session view
-    assert_eq!(cache.hits(), stats.cache_hits);
-    assert_eq!(cache.misses(), stats.cache_misses);
+    // the session's own view reads the cells it wrote; the cache is private
+    // to this test, so every miss added exactly one entry
+    assert_eq!(session.stats(), stats);
+    assert_eq!(cache.len() as u64, stats.cache_misses);
     // the second identical round guarantees repeats actually hit
     assert!(stats.cache_hits > 0, "repeated round saw no cache hits");
 }
