@@ -50,8 +50,13 @@ fn main() {
                     secs(s.total_time),
                 );
                 println!(
-                    "{:<14} cache {} hit / {} miss, solver reused {}x",
-                    "", s.smt_cache_hits, s.smt_cache_misses, s.sessions_reused,
+                    "{:<14} cache {} hit / {} miss, core {}, replay {}, solver reused {}x",
+                    "",
+                    s.smt_cache_hits,
+                    s.smt_cache_misses,
+                    s.smt_core_hits,
+                    s.replay_hits,
+                    s.sessions_reused,
                 );
                 let degradations = s.unknown_deadline
                     + s.unknown_cancelled

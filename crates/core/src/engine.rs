@@ -107,6 +107,12 @@ pub struct PinsStats {
     pub smt_cache_hits: u64,
     /// Normalized-query cache misses on the engine's session.
     pub smt_cache_misses: u64,
+    /// Cache hits on the engine's session answered by a subsuming unsat
+    /// core rather than an exact key (a subset of `smt_cache_hits`).
+    pub smt_core_hits: u64,
+    /// Constraint checks in `solve` refuted by a replayed countermodel,
+    /// without a query.
+    pub replay_hits: u64,
     /// `solve` calls that reused solver state from an earlier iteration.
     pub sessions_reused: u64,
     /// Verification queries that panicked and were degraded to "constraint
@@ -148,6 +154,8 @@ impl PinsStats {
             feasibility_queries: SessionStats::from_registry(registry, "feas").queries,
             smt_cache_hits: smt.cache_hits,
             smt_cache_misses: smt.cache_misses,
+            smt_core_hits: smt.core_hits,
+            replay_hits: solve.replay_hits,
             sessions_reused: solve.sessions_reused,
             worker_panics: solve.worker_panics,
             sat_interrupts: solve.sat_interrupts,

@@ -17,6 +17,19 @@
 //! cache, so repeated validity checks across PINS iterations short-circuit.
 //! Constraints are verified in index order and the first one that fails
 //! yields the blocking clause, as in the paper's serial loop.
+//!
+//! **Counterexample replay.** When the session has no axioms and no
+//! assertions of its own, every SMT refutation of a part's `hyps ∧ ¬goal`
+//! leaves its model behind, and a later candidate is first checked against
+//! the part's stored models, most recently successful first. A model whose
+//! [`Witness`] satisfies the new candidate's hypotheses and falsifies its
+//! goal is a concrete counterexample: the solver could not have answered
+//! `Unsat`, and anything else refutes the candidate, so it is blocked
+//! exactly as the query would have blocked it — without the query. The
+//! witness is checked against the part alone, so a session whose queries
+//! also carry library axioms (quantified: a concrete witness cannot check
+//! them) or persistent assertions (which a witness that recomputes defined
+//! variables may break) never replays.
 
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -27,7 +40,7 @@ use pins_budget::StopReason;
 use pins_ir::{EHoleId, PHoleId};
 use pins_logic::TermId;
 use pins_sat::{Lit, SolveResult, Solver as SatSolver, Var};
-use pins_smt::SmtSession;
+use pins_smt::{Definitions, Model, SmtResult, SmtSession, Witness};
 use pins_symexec::{apply_filler_term, MapFiller, SymCtx};
 use pins_trace::MetricsRegistry;
 
@@ -75,7 +88,8 @@ pins_trace::counter_table! {
         sat_time: Duration = "phase.sat",
         /// Time in SMT validity checking (the paper's "SMT reduction").
         smt_time: Duration = "phase.smt_reduction",
-        /// Number of SMT validity queries issued (excluding local memo hits).
+        /// Number of SMT validity queries issued (excluding local memo hits
+        /// and replayed refutations).
         smt_queries: u64 = "solve.smt_queries",
         /// Number of candidate assignments proposed by SAT.
         candidates_proposed: u64 = "solve.candidates",
@@ -94,6 +108,11 @@ pins_trace::counter_table! {
         worker_panics: u64 = "solve.worker_panics",
         /// Candidate-enumeration SAT solves interrupted by the shared budget.
         sat_interrupts: u64 = "solve.sat_interrupts",
+        /// Constraint checks a stored countermodel refuted without a query.
+        replay_hits: u64 = "solve.replay_hits",
+        /// Time spent replaying stored countermodels, hits and misses alike
+        /// (part of `phase.smt_reduction`).
+        replay_time: Duration = "solve.replay_time",
     }
     fixed {
         /// Always 1: constraint verification is serial. Kept only so that
@@ -104,38 +123,59 @@ pins_trace::counter_table! {
     }
 }
 
-/// Runs [`verify_one`] with panic isolation: a query that panics (e.g. a
-/// poisoned constraint hitting an encoder `panic!`) degrades to `None`
-/// ("unverified") instead of tearing down the solve.
-fn verify_one_isolated(
-    ctx: &mut SymCtx,
-    program: &pins_ir::Program,
-    smt: &mut SmtSession,
-    constraint: &Constraint,
-    filler: &MapFiller,
-) -> Option<bool> {
-    catch_unwind(AssertUnwindSafe(|| {
-        verify_one(ctx, program, smt, constraint, filler)
-    }))
-    .ok()
+/// How one constraint part fared under a candidate.
+enum Check {
+    /// A stored countermodel refuted it; no query was issued.
+    Replayed,
+    /// The session answered: whether the part is valid.
+    Queried(bool),
 }
 
 /// Verifies a single constraint under a filled-in candidate: substitutes the
-/// filler into the hypotheses and goal, then asks the session for validity.
+/// filler into the hypotheses and goal, replays `countermodels` (when the
+/// session replays) on the result, and asks the session for validity only
+/// when no stored model refutes it. A model refuting the query joins
+/// `countermodels` at the front. Replay time accrues to `replay_time`.
 fn verify_one(
     ctx: &mut SymCtx,
     program: &pins_ir::Program,
     smt: &mut SmtSession,
     constraint: &Constraint,
     filler: &MapFiller,
-) -> bool {
-    let hyps: Vec<TermId> = constraint
+    countermodels: Option<&mut Vec<Model>>,
+    replay_time: &mut Duration,
+) -> Check {
+    let mut hyps: Vec<TermId> = constraint
         .hyps
         .iter()
         .map(|&h| apply_filler_term(ctx, program, h, filler))
         .collect();
     let goal = apply_filler_term(ctx, program, constraint.goal, filler);
-    smt.entails(&mut ctx.arena, &hyps, goal)
+    let Some(models) = countermodels else {
+        return Check::Queried(smt.entails(&mut ctx.arena, &hyps, goal));
+    };
+    let t0 = Instant::now();
+    let defs = Definitions::of(&ctx.arena, &hyps);
+    let hit = models
+        .iter()
+        .position(|m| Witness::new(&ctx.arena, m, &defs).refutes(&hyps, goal));
+    *replay_time += t0.elapsed();
+    if let Some(i) = hit {
+        models[..=i].rotate_right(1);
+        return Check::Replayed;
+    }
+    // the same query `entails` asks, but with a model kept on `Sat` (a
+    // cached `Sat` is solved again, so what is stored never depends on
+    // what the process-wide cache already holds)
+    hyps.push(ctx.arena.mk_not(goal));
+    match smt.check_under(&mut ctx.arena, &hyps) {
+        SmtResult::Unsat => Check::Queried(true),
+        SmtResult::Sat(model) => {
+            models.insert(0, model);
+            Check::Queried(false)
+        }
+        SmtResult::Unknown(_) => Check::Queried(false),
+    }
 }
 
 /// A solution's choices restricted to the holes one constraint (or path)
@@ -159,6 +199,9 @@ pub struct HoleSolver {
     /// `(constraint index, restricted assignment) -> verified?`
     cache: HashMap<(usize, RestrictedKey), bool>,
     holes_of: Vec<HoleSet>,
+    /// Per constraint: the models of its SMT refutations, most recently
+    /// successful first (empty unless the session replays).
+    countermodels: Vec<Vec<Model>>,
     /// Whether an earlier `solve` call proposed a candidate, i.e. built
     /// state the next call reuses.
     proposed_before: bool,
@@ -191,6 +234,7 @@ impl HoleSolver {
             pvars,
             cache: HashMap::new(),
             holes_of: Vec::new(),
+            countermodels: Vec::new(),
             proposed_before: false,
             last_stop: None,
             metrics: SolveMetrics::default(),
@@ -225,6 +269,7 @@ impl HoleSolver {
         );
         let terms = c.hyps.iter().copied().chain(std::iter::once(c.goal));
         self.holes_of.push(HoleSet::of(ctx, terms));
+        self.countermodels.push(Vec::new());
     }
 
     fn extract_solution(sat: &SatSolver, evars: &[Vec<Var>], pvars: &[Vec<Var>]) -> Solution {
@@ -261,16 +306,39 @@ impl HoleSolver {
         }
         let filler = solution.to_filler(domains);
         let t0 = Instant::now();
-        let valid = match verify_one_isolated(ctx, &session.composed, smt, &constraints[c], &filler)
-        {
-            Some(v) => v,
-            None => {
+        let replays = smt.axioms().is_empty() && smt.assertions().is_empty();
+        let countermodels = replays.then_some(&mut self.countermodels[c]);
+        let mut replay_time = Duration::ZERO;
+        // a query that panics (e.g. a poisoned constraint hitting an encoder
+        // `panic!`) degrades to "unverified" instead of tearing down the solve
+        let check = catch_unwind(AssertUnwindSafe(|| {
+            verify_one(
+                ctx,
+                &session.composed,
+                smt,
+                &constraints[c],
+                &filler,
+                countermodels,
+                &mut replay_time,
+            )
+        }));
+        let valid = match check {
+            Ok(Check::Replayed) => {
+                self.metrics.replay_hits.inc();
+                false
+            }
+            Ok(Check::Queried(v)) => {
+                self.metrics.smt_queries.inc();
+                v
+            }
+            Err(_) => {
+                self.metrics.smt_queries.inc();
                 self.metrics.worker_panics.inc();
                 false
             }
         };
+        self.metrics.replay_time.add_duration(replay_time);
         self.metrics.smt_time.add_duration(t0.elapsed());
-        self.metrics.smt_queries.inc();
         self.cache.insert((c, key), valid);
         valid
     }

@@ -506,3 +506,38 @@ fn slicer_skips_duplicate_constraints() {
     assert_eq!(registry.get("slice.narrowed"), 1);
     assert_eq!(registry.get("slice.duplicates"), 3);
 }
+
+/// With `x@0 >= 1 ∧ xI@1 != 0` asserted on the session, `xI := 0` is
+/// valid: its hypotheses contradict the assertion. A countermodel stored
+/// for `y + 7` or `y` has `x@0 >= 1`, so replaying it on `0` without the
+/// assertion (`xI@1` recomputed as 0) would refute it. Such a session
+/// must not replay, and `solve` keeps both valid candidates.
+#[test]
+fn a_session_assertion_turns_counterexample_replay_off() {
+    let mut session = add7_session();
+    let composed = session.composed.clone();
+    // the order in which `solve` meets `0` after a refuted candidate
+    session.expr_candidates = ["y + 7", "y", "0", "y - 7"]
+        .iter()
+        .map(|src| parse_expr_in(&composed, src).unwrap())
+        .collect();
+    let (domains, mut ctx, c) = safepath_of(&session);
+    let (x0, xi1) = (
+        var_at(&session, &mut ctx, "x", 0),
+        var_at(&session, &mut ctx, "xI", 1),
+    );
+    let (zero, one) = (ctx.arena.mk_int(0), ctx.arena.mk_int(1));
+    let positive = ctx.arena.mk_le(one, x0);
+    let xi_zero = ctx.arena.mk_eq(xi1, zero);
+    let nonzero = ctx.arena.mk_not(xi_zero);
+    let mut smt = pins_smt::SmtSession::new(pins_smt::SmtConfig::default());
+    smt.assert(positive);
+    smt.assert(nonzero);
+    let mut solver = HoleSolver::new(&domains);
+    let sols = solver.solve(&mut ctx, &session, &domains, &[c], 4, &mut smt);
+    assert_eq!(solver.stats().replay_hits, 0);
+    let mut chosen: Vec<usize> = sols.iter().map(|s| s.exprs[0]).collect();
+    chosen.sort_unstable();
+    // `0` and `y - 7`, by their index in the candidate list
+    assert_eq!(chosen, vec![2, 3]);
+}

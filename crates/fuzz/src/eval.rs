@@ -3,12 +3,13 @@
 //! Two deliberately separate implementations:
 //!
 //! * [`check_model`] — a three-valued structural evaluator that checks a
-//!   solver-returned [`Model`] against the asserted formula **without**
-//!   reusing [`Model::eval_bool`]'s logic. It propagates `Unknown` for
-//!   anything the model does not pin down (so a sparse-but-correct model is
-//!   never reported as wrong) and cross-checks EUF congruence: two
-//!   applications of the same function on equal evaluated arguments must be
-//!   assigned equal values.
+//!   [`Model`] against the asserted formula **without** reusing pins-smt's
+//!   own evaluator ([`pins_smt::Witness`]), which it is the independent
+//!   reference for: the `shortcut` oracle checks replayed witnesses with it.
+//!   It propagates `Unknown` for anything the model does not pin down (so a
+//!   sparse-but-correct model is never reported as wrong) and cross-checks
+//!   EUF congruence: two applications of the same function on equal
+//!   evaluated arguments must be assigned equal values.
 //! * [`enumerate_sat`] — exhaustive enumeration of all assignments over a
 //!   small integer domain, total on the generator's *enumerable* dialect.
 //!   Finding a satisfying assignment there refutes an `Unsat` verdict

@@ -261,6 +261,74 @@ pub fn gen_formula(d: &mut Decisions, config: FormulaConfig) -> GenFormula {
     }
 }
 
+/// Runs `body` on a generator over `f`'s arena, variables and functions.
+fn extend<T>(
+    d: &mut Decisions,
+    f: &mut GenFormula,
+    config: FormulaConfig,
+    body: impl FnOnce(&mut Gen) -> T,
+) -> T {
+    let mut funs: Vec<(pins_logic::Symbol, usize)> = f
+        .arena
+        .fun_decls()
+        .map(|decl| (decl.name, decl.args.len()))
+        .collect();
+    funs.sort_unstable(); // declaration order is not stable; the tape is
+    let mut gen = Gen {
+        d,
+        config,
+        arena: std::mem::take(&mut f.arena),
+        int_vars: f.int_vars.clone(),
+        bool_vars: f.bool_vars.clone(),
+        array_vars: f.array_vars.clone(),
+        funs,
+    };
+    let out = body(&mut gen);
+    f.arena = gen.arena;
+    out
+}
+
+/// Generates one more boolean conjunct over `f`'s variables and functions,
+/// in `f`'s arena — how oracles grow or perturb a formula they have solved.
+pub fn gen_conjunct(d: &mut Decisions, f: &mut GenFormula, config: FormulaConfig) -> TermId {
+    extend(d, f, config, |gen| {
+        let depth = 1 + gen.d.choose(config.max_depth as u64) as u32;
+        gen.bool_term(depth)
+    })
+}
+
+/// Adds `n` fresh integer variables (SSA version 1, like a path's later
+/// versions) to `f` and returns one defining equation `v = t` per variable.
+/// Each `t` may read any variable, the fresh ones included, and half of
+/// them add the next fresh variable, so definitions chain and often form
+/// cycles.
+pub fn gen_definitions(
+    d: &mut Decisions,
+    f: &mut GenFormula,
+    config: FormulaConfig,
+    n: usize,
+) -> Vec<TermId> {
+    let fresh: Vec<TermId> = (0..n)
+        .map(|i| {
+            let s = f.arena.sym(&format!("t{i}"));
+            f.arena.mk_var(s, 1, Sort::Int)
+        })
+        .collect();
+    f.int_vars.extend(&fresh);
+    extend(d, f, config, |gen| {
+        (0..n)
+            .map(|i| {
+                let depth = 1 + gen.d.choose(config.max_depth as u64) as u32;
+                let mut t = gen.int_term(depth);
+                if gen.d.chance(1, 2) {
+                    t = gen.arena.mk_add(t, fresh[(i + 1) % n]);
+                }
+                gen.arena.mk_eq(fresh[i], t)
+            })
+            .collect()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -47,7 +47,7 @@ pub struct FuzzOptions {
     pub iters: u64,
     /// Master seed; per-iteration seeds derive from it.
     pub seed: u64,
-    /// Restrict to a single oracle (otherwise round-robin over all seven).
+    /// Restrict to a single oracle (otherwise round-robin over all eight).
     pub oracle: Option<OracleKind>,
     /// Wall-clock bound for the whole run, in milliseconds. Checked between
     /// iterations; when it trips, the run stops early (the report then

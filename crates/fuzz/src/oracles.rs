@@ -16,15 +16,18 @@ use pins_core::{Constraint, ConstraintLabel, HoleDomains, Slicer};
 use pins_ir::{run as interp_run, ExternEnv, InterpError, Store, Value};
 use pins_ir::{EHoleId, Expr, Mode, Program, Stmt, Type, VarId};
 use pins_logic::TermId;
-use pins_smt::{CoreSlot, QueryCache, Smt, SmtConfig, SmtResult, SmtSession, Verdict};
+use pins_smt::{
+    CoreSlot, Definitions, Model, QueryCache, Smt, SmtConfig, SmtResult, SmtSession, Verdict,
+    Witness,
+};
 use pins_symexec::{apply_filler_term, EmptyFiller, ExploreConfig, Explorer, MapFiller, SymCtx};
 
 use crate::eval::{check_model, enumerate_sat};
-use crate::genf::{gen_formula, FormulaConfig, GenFormula};
+use crate::genf::{gen_conjunct, gen_definitions, gen_formula, FormulaConfig, GenFormula};
 use crate::genp::{gen_program, ProgramConfig};
 use crate::tape::Decisions;
 
-/// The seven differential oracles.
+/// The eight differential oracles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleKind {
     /// `Sat` verdicts: the returned model must satisfy the formula under an
@@ -47,10 +50,15 @@ pub enum OracleKind {
     /// A path constraint is valid iff every part the synthesis-constraint
     /// slicer cuts it into is (slicing exactness).
     Slice,
+    /// The solver's exact shortcuts agree with solving: a query containing
+    /// a known unsat core is answered by a core hit and is not satisfiable,
+    /// and a stored model the witness evaluator accepts for a new formula
+    /// really satisfies it.
+    Shortcut,
 }
 
 /// All oracles, in the round-robin order the driver uses.
-pub const ALL_ORACLES: [OracleKind; 7] = [
+pub const ALL_ORACLES: [OracleKind; 8] = [
     OracleKind::ModelEval,
     OracleKind::EnumUnsat,
     OracleKind::Cache,
@@ -58,6 +66,7 @@ pub const ALL_ORACLES: [OracleKind; 7] = [
     OracleKind::Budget,
     OracleKind::Core,
     OracleKind::Slice,
+    OracleKind::Shortcut,
 ];
 
 impl OracleKind {
@@ -71,6 +80,7 @@ impl OracleKind {
             OracleKind::Budget => "budget",
             OracleKind::Core => "core",
             OracleKind::Slice => "slice",
+            OracleKind::Shortcut => "shortcut",
         }
     }
 
@@ -148,15 +158,13 @@ pub fn run_oracle(kind: OracleKind, d: &mut Decisions) -> OracleOutcome {
         OracleKind::Budget => budget_compat(d),
         OracleKind::Core => core_soundness(d),
         OracleKind::Slice => slice_exactness(d),
+        OracleKind::Shortcut => shortcut_exactness(d),
     }
 }
 
 fn solve_fresh(f: &mut GenFormula) -> SmtResult {
-    let mut smt = Smt::new(fuzz_smt_config());
-    for &a in &f.asserts {
-        smt.assert_term(&mut f.arena, a);
-    }
-    smt.check(&mut f.arena)
+    let asserts = f.asserts.clone();
+    solve_fresh_asserts(f, &asserts)
 }
 
 // ---------------------------------------------------------------------------
@@ -657,6 +665,161 @@ fn slice_exactness(d: &mut Decisions) -> OracleOutcome {
             detail,
         )
     }
+}
+
+// ---------------------------------------------------------------------------
+// 8. shortcut
+// ---------------------------------------------------------------------------
+
+fn shortcut_exactness(d: &mut Decisions) -> OracleOutcome {
+    let mut f = gen_formula(d, FormulaConfig::default());
+    let asserts = f.asserts.clone();
+    let mut session = SmtSession::with_cache(fuzz_smt_config(), Arc::new(QueryCache::new()));
+    match session.check_under(&mut f.arena, &asserts) {
+        SmtResult::Unsat => core_subsumption(d, &mut f, &mut session),
+        SmtResult::Sat(model) => witness_replay(d, &mut f, &model),
+        SmtResult::Unknown(_) => OracleOutcome::skip("unknown"),
+    }
+}
+
+/// `keep` with `extra` conjuncts generated over `f` inserted at random
+/// positions.
+fn with_conjuncts(
+    d: &mut Decisions,
+    f: &mut GenFormula,
+    keep: &[TermId],
+    extra: u64,
+) -> Vec<TermId> {
+    let mut out = keep.to_vec();
+    for _ in 0..extra {
+        let t = gen_conjunct(d, f, FormulaConfig::default());
+        let at = d.choose(out.len() as u64 + 1) as usize;
+        out.insert(at, t);
+    }
+    out
+}
+
+/// After an `Unsat` with a core: a random superset, queried through the
+/// same cache, must be answered `Unsat` by a core hit (by an exact hit if
+/// it adds nothing new) and must not be satisfiable; a random variant that
+/// drops asserts must not be satisfiable whenever a core hit answers it.
+fn core_subsumption(
+    d: &mut Decisions,
+    f: &mut GenFormula,
+    session: &mut SmtSession,
+) -> OracleOutcome {
+    if session.last_unsat_core().is_none() {
+        return OracleOutcome::skip("unsat-no-core");
+    }
+    let mut violations = Vec::new();
+    let asserts = f.asserts.clone();
+    let extra = 1 + d.choose(3);
+    let superset = with_conjuncts(d, f, &asserts, extra);
+    let adds_nothing = superset.iter().all(|t| asserts.contains(t));
+    let before = session.stats();
+    let v = session.verdict_under(&mut f.arena, &superset);
+    let after = session.stats();
+    let core_hit = after.core_hits > before.core_hits;
+    if v != Verdict::Unsat || core_hit == adds_nothing || after.cache_hits == before.cache_hits {
+        violations.push(format!(
+            "superset of an unsat query answered {} with {} core hit(s)",
+            verdict_name(v),
+            after.core_hits - before.core_hits
+        ));
+    }
+    let fresh = Verdict::of(&solve_fresh_asserts(f, &superset));
+    if fresh == (Verdict::Sat { complete: true }) {
+        violations.push("superset of an unsat query is satisfiable".to_owned());
+    }
+
+    let kept: Vec<TermId> = asserts
+        .iter()
+        .copied()
+        .filter(|_| !d.chance(1, 3))
+        .collect();
+    let extra = d.choose(3);
+    let variant = with_conjuncts(d, f, &kept, extra);
+    let before = session.stats().core_hits;
+    let v = session.verdict_under(&mut f.arena, &variant);
+    let variant_hit = session.stats().core_hits > before;
+    if variant_hit {
+        let fresh = Verdict::of(&solve_fresh_asserts(f, &variant));
+        if !v.agrees_with(fresh) {
+            violations.push(format!(
+                "core hit answered {} but a fresh solve says {}",
+                verdict_name(v),
+                verdict_name(fresh)
+            ));
+        }
+    }
+    let detail = if variant_hit {
+        "core-hit-twice"
+    } else {
+        "core-hit"
+    };
+    if violations.is_empty() {
+        OracleOutcome::pass(detail)
+    } else {
+        OracleOutcome::fail(violations, detail)
+    }
+}
+
+/// After a `Sat`: the formula is extended or perturbed, gets defining
+/// equations for fresh variables (which may chain or form cycles), and is
+/// split the way `solve` replays (all but the last conjunct as hypotheses,
+/// the last one's negation as the goal). Whenever the witness the model
+/// induces refutes that split — i.e. satisfies every conjunct — the
+/// witness, exported as a model, must pass the independent
+/// [`check_model`], and a fresh solve must not be `Unsat`.
+fn witness_replay(d: &mut Decisions, f: &mut GenFormula, model: &Model) -> OracleOutcome {
+    let mut asserts = f.asserts.clone();
+    let n = 1 + d.choose(3) as usize;
+    asserts.extend(gen_definitions(d, f, FormulaConfig::default(), n));
+    let mut conjuncts = if d.chance(1, 2) {
+        let at = d.choose(f.asserts.len() as u64) as usize;
+        asserts.remove(at);
+        with_conjuncts(d, f, &asserts, 1)
+    } else {
+        let extra = 1 + d.choose(2);
+        with_conjuncts(d, f, &asserts, extra)
+    };
+    // the goal is a random conjunct (a definition left out of the
+    // hypotheses defines nothing)
+    let last = conjuncts.len() - 1;
+    let at = d.choose(conjuncts.len() as u64) as usize;
+    conjuncts.swap(at, last);
+    let (&last, hyps) = conjuncts.split_last().expect("at least one conjunct");
+    let goal = f.arena.mk_not(last);
+    let defs = Definitions::of(&f.arena, hyps);
+    let mut witness = Witness::new(&f.arena, model, &defs);
+    if !witness.refutes(hyps, goal) {
+        return OracleOutcome::pass("not-replayed");
+    }
+    let exported = witness.into_model();
+    let res = check_model(&f.arena, &conjuncts, &exported);
+    let mut violations: Vec<String> = res
+        .falsified
+        .iter()
+        .map(|i| format!("replayed witness falsifies conjunct #{i}"))
+        .collect();
+    violations.extend(res.euf_conflicts);
+    if solve_fresh_asserts(f, &conjuncts).is_unsat() {
+        violations.push("replayed witness satisfies a formula the solver calls unsat".to_owned());
+    }
+    if violations.is_empty() {
+        OracleOutcome::pass("replayed")
+    } else {
+        OracleOutcome::fail(violations, "replayed")
+    }
+}
+
+/// A fresh one-shot solve of `asserts` in `f`'s arena.
+fn solve_fresh_asserts(f: &mut GenFormula, asserts: &[TermId]) -> SmtResult {
+    let mut smt = Smt::new(fuzz_smt_config());
+    for &a in asserts {
+        smt.assert_term(&mut f.arena, a);
+    }
+    smt.check(&mut f.arena)
 }
 
 #[cfg(test)]

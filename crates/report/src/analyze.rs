@@ -16,6 +16,9 @@ pub struct OriginCost {
     pub total_us: u64,
     /// Query-cache hits among those queries.
     pub cache_hits: u64,
+    /// Cache hits answered by a subsuming unsat core (`core_hit` on the
+    /// span) rather than an exact key; a subset of `cache_hits`.
+    pub core_hits: u64,
 }
 
 /// Solver time per pass, summed over the `smt.check` spans under one
@@ -227,8 +230,8 @@ impl Analysis {
     fn note_query(&mut self, ev: &TraceEvent, dur: u64) {
         let bench = ev.field_str("bench").unwrap_or("?").to_string();
         let phase = ev.field_str("phase").unwrap_or("none").to_string();
-        let cached =
-            matches!(ev.fields.get("cached"), Some(j) if j == &pins_trace::json::Json::Bool(true));
+        let flag = |k: &str| matches!(ev.fields.get(k), Some(j) if j == &pins_trace::json::Json::Bool(true));
+        let cached = flag("cached");
         let cost = self
             .attribution
             .entry((bench.clone(), phase.clone()))
@@ -236,6 +239,7 @@ impl Analysis {
         cost.queries += 1;
         cost.total_us += dur;
         cost.cache_hits += cached as u64;
+        cost.core_hits += flag("core_hit") as u64;
         self.top_queries.push(TopQuery {
             dur_us: dur,
             bench,
@@ -322,12 +326,46 @@ mod tests {
         let a = Analysis::from_trace(&demo_trace(), 10);
         let solve = &a.attribution[&("Σi".to_string(), "solve".to_string())];
         assert_eq!(
-            (solve.queries, solve.total_us, solve.cache_hits),
-            (1, 100, 0)
+            (
+                solve.queries,
+                solve.total_us,
+                solve.cache_hits,
+                solve.core_hits
+            ),
+            (1, 100, 0, 0)
         );
         let pick = &a.attribution[&("Σi".to_string(), "pickone".to_string())];
-        assert_eq!((pick.queries, pick.total_us, pick.cache_hits), (1, 40, 1));
+        assert_eq!(
+            (pick.queries, pick.total_us, pick.cache_hits, pick.core_hits),
+            (1, 40, 1, 0)
+        );
         assert_eq!(a.counters["smt.queries"], 2);
+    }
+
+    #[test]
+    fn core_hits_count_only_spans_marked_core_hit() {
+        // a solved query, an exact cache hit and a core hit in one phase
+        let trace = Trace::parse(concat!(
+            r#"{"seq":1,"t_us":0,"thread":0,"kind":"span_end","name":"smt.query","span":1,"dur_us":50,"fields":{"bench":"Σi","phase":"solve","verdict":"unsat","cached":false,"core_hit":false}}"#,
+            "\n",
+            r#"{"seq":2,"t_us":1,"thread":0,"kind":"span_end","name":"smt.query","span":2,"dur_us":5,"fields":{"bench":"Σi","phase":"solve","verdict":"unsat","cached":true}}"#,
+            "\n",
+            r#"{"seq":3,"t_us":2,"thread":0,"kind":"span_end","name":"smt.query","span":3,"dur_us":7,"fields":{"bench":"Σi","phase":"solve","verdict":"unsat","cached":true,"core_hit":true}}"#,
+            "\n",
+        ));
+        let a = Analysis::from_trace(&trace, 10);
+        let solve = &a.attribution[&("Σi".to_string(), "solve".to_string())];
+        assert_eq!(
+            (
+                solve.queries,
+                solve.total_us,
+                solve.cache_hits,
+                solve.core_hits
+            ),
+            (3, 62, 2, 1)
+        );
+        let text = crate::render::analysis_report(&a, &trace.stats, &[]);
+        assert!(text.contains("core"), "{text}");
     }
 
     #[test]

@@ -37,21 +37,22 @@ pub fn analysis_report(analysis: &Analysis, stats: &IngestStats, bench: &[BenchR
         writeln!(s, "== cost attribution (benchmark x phase) ==").unwrap();
         writeln!(
             s,
-            "{:<24} {:<10} {:>8} {:>12} {:>10} {:>8}",
-            "benchmark", "phase", "queries", "total", "mean", "cached"
+            "{:<24} {:<10} {:>8} {:>12} {:>10} {:>8} {:>8}",
+            "benchmark", "phase", "queries", "total", "mean", "cached", "core"
         )
         .unwrap();
         for ((bench, phase), cost) in &analysis.attribution {
             let mean = cost.total_us.checked_div(cost.queries).unwrap_or(0);
             writeln!(
                 s,
-                "{:<24} {:<10} {:>8} {:>12} {:>10} {:>8}",
+                "{:<24} {:<10} {:>8} {:>12} {:>10} {:>8} {:>8}",
                 bench,
                 phase,
                 cost.queries,
                 fmt_us(cost.total_us),
                 fmt_us(mean),
-                cost.cache_hits
+                cost.cache_hits,
+                cost.core_hits
             )
             .unwrap();
         }

@@ -7,7 +7,9 @@
 //!   many are pure extensions (what a cross-query warm start would serve),
 //!   and the uncached solver time.
 //! * **Miss-cause breakdown** — the cache-miss taxonomy (first-seen /
-//!   config-mismatch / budget-retry / near-miss) summed over the run.
+//!   config-mismatch / budget-retry / near-miss) summed over the run. A
+//!   query a known unsat core subsumes is a cache hit, not a miss, so it
+//!   has no cause.
 //! * **Top-K unsat cores** — cores by content id, ranked by how often the
 //!   same core refuted a query; a handful of hot cores means refutations
 //!   are structural and cacheable, a long tail means they are not.
@@ -280,6 +282,10 @@ pub fn render(report: &XrayReport, top_k: usize) -> String {
     let _ = writeln!(s);
 
     let _ = writeln!(s, "== cache-miss causes ==");
+    let _ = writeln!(
+        s,
+        "(queries a known unsat core subsumes count as cache hits, not misses)"
+    );
     let total_misses: u64 = report.miss_causes.values().sum();
     if total_misses == 0 {
         let _ = writeln!(s, "(no misses recorded)");

@@ -73,7 +73,7 @@ pub use ematch::{ematch_round, EmatchConfig};
 pub use euf::Euf;
 pub use inst::{instantiate, InstConfig, InstOutcome};
 pub use linear::{linearize, LinExpr};
-pub use model::Model;
+pub use model::{Definitions, Model, Witness};
 pub use prep::{preprocess, Prepped};
 pub use rational::Rat;
 pub use session::{

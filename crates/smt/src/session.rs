@@ -18,12 +18,13 @@
 //!   query only, without disturbing the persistent scope, and
 //! * a shared, process-wide **normalized-query cache** mapping a structural
 //!   fingerprint of (config, axioms, assertions ∪ assumptions) to the
-//!   verdict.
+//!   verdict, plus an **unsat-core index** that answers any query containing
+//!   a known core.
 //!
 //! Every query goes through one path: count, span, shape, audit, cache
-//! lookup, miss classification, solve, latency. Its counters live only in
-//! the session's [`SessionStats`] key table, whose handles bind to a
-//! [`MetricsRegistry`].
+//! lookup, core subsumption, miss classification, solve, latency. Its
+//! counters live only in the session's [`SessionStats`] key table, whose
+//! handles bind to a [`MetricsRegistry`].
 //!
 //! # Normalization and soundness
 //!
@@ -31,10 +32,11 @@
 //! hash symbol *names* (not arena-local ids), SSA versions, and sorts, with
 //! the assertion multiset sorted and deduplicated. Two queries that denote
 //! the same conjunction therefore share a key even when issued from
-//! different [`TermArena`]s or in a different assertion order. Only the
-//! *verdict* is cached — never a model, since model term-ids are only
-//! meaningful in the arena that produced them. When a caller needs a model
-//! for a formula whose verdict is already cached as satisfiable, the session
+//! different [`TermArena`]s or in a different assertion order. The cache
+//! stores the *verdict*, plus the unsat core of a tracked `Unsat` as member
+//! fingerprints — never a model, since model term-ids are only meaningful
+//! in the arena that produced them. When a caller needs a model for a
+//! formula whose verdict is already cached as satisfiable, the session
 //! re-solves ([`SessionStats::sat_resolves`]); verdict-only callers
 //! (feasibility probes, validity checks) short-circuit entirely.
 //!
@@ -42,6 +44,19 @@
 //! `Sat`/`Unknown` ones record their completeness, so replaying a cached
 //! verdict is exactly as trustworthy as re-running the solver with the same
 //! (fingerprinted) configuration.
+//!
+//! # Core subsumption
+//!
+//! Every non-empty core a fresh `Unsat` caches is also indexed under its
+//! *scope*, the fingerprint of (config, axiom set), at its smallest member
+//! fingerprint. A query that misses its exact key but whose normalized
+//! assertions contain every member of a core in its scope is `Unsat` by
+//! monotonicity: the core is unsatisfiable together with the same axioms,
+//! and adding conjuncts keeps it so. An assert that lifted a quantified
+//! axiom is forced into every core it takes part in, so the lifted axiom
+//! stays inside the member fingerprint. Such a *core hit* counts as a cache
+//! hit ([`SessionStats::core_hits`]), resolves the core to the query's own
+//! slots, and adds no cache entry: the cache keeps one entry per solve.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -328,18 +343,30 @@ struct ForensicsIndex {
     inverted: HashMap<u128, Vec<u128>>,
 }
 
+/// The core index: (scope, smallest member fingerprint) → the distinct
+/// unsat cores anchored there.
+type CoreIndex = HashMap<(u128, u128), Vec<Arc<CachedCore>>>;
+
+/// Whether every element of sorted `sub` occurs in sorted `set`.
+fn is_sorted_subset(sub: &[u128], set: &[u128]) -> bool {
+    sub.iter().all(|x| set.binary_search(x).is_ok())
+}
+
 /// A process-wide map from normalized query fingerprints to verdicts,
-/// shared by every session that opts in (all of them by default).
+/// shared by every session that opts in (all of them by default), with an
+/// index over the unsat cores of its `Unsat` entries.
 ///
 /// The map is guarded by a [`Mutex`] — queries take microseconds to
 /// milliseconds, so contention on the lock is negligible next to solving.
-/// A second mutex guards the miss-forensics side-index (structural keys and
-/// the near-miss inverted index), touched only on the miss path. The cache
-/// counts nothing: hits, misses and miss causes are counted by the session
-/// that asked ([`SessionStats`]).
+/// A second mutex guards the core index, consulted on exact-key misses; a
+/// third the miss-forensics side-index (structural keys and the near-miss
+/// inverted index), touched only on the miss path. The cache counts
+/// nothing: hits, core hits, misses and miss causes are counted by the
+/// session that asked ([`SessionStats`]).
 #[derive(Debug, Default)]
 pub struct QueryCache {
     map: Mutex<HashMap<u128, CacheEntry>>,
+    cores: Mutex<CoreIndex>,
     forensics: Mutex<ForensicsIndex>,
 }
 
@@ -366,6 +393,39 @@ impl QueryCache {
             .lock()
             .unwrap()
             .insert(key, CacheEntry { verdict, core });
+    }
+
+    /// Indexes an unsat core under `scope`, the fingerprint of the config
+    /// and axiom set it is unsatisfiable under, at its smallest member. A
+    /// core already indexed there is not added twice; a core without members
+    /// (axioms unsat on their own) is not indexed.
+    pub(crate) fn index_core(&self, scope: u128, core: Arc<CachedCore>) {
+        let Some(&anchor) = core.fps.first() else {
+            return;
+        };
+        let mut cores = self.cores.lock().unwrap();
+        let list = cores.entry((scope, anchor)).or_default();
+        if !list.iter().any(|c| c.fps == core.fps) {
+            list.push(core);
+        }
+    }
+
+    /// An indexed core under `scope` whose members all occur in
+    /// `sorted_fps` (a query's sorted, deduplicated assertion fingerprints):
+    /// a proof that the query is unsatisfiable. Candidates are the cores
+    /// anchored at each of the query's fingerprints, in order.
+    pub(crate) fn subsuming_core(
+        &self,
+        scope: u128,
+        sorted_fps: &[u128],
+    ) -> Option<Arc<CachedCore>> {
+        let cores = self.cores.lock().unwrap();
+        sorted_fps
+            .iter()
+            .filter_map(|&fp| cores.get(&(scope, fp)))
+            .flatten()
+            .find(|c| is_sorted_subset(&c.fps, sorted_fps))
+            .cloned()
     }
 
     /// Classifies why `structural_key` (with normalized assertion
@@ -544,6 +604,17 @@ impl QueryShape {
         key
     }
 
+    /// The scope unsat cores are indexed under: `config_fp` and the axiom
+    /// set, without the assertions.
+    fn core_scope(&self, config_fp: u128) -> u128 {
+        let mut scope = mix_u64(config_fp, 0xc02e);
+        scope = mix_u64(scope, self.ax.len() as u64);
+        for &h in &self.ax {
+            scope = mix(scope, h);
+        }
+        scope
+    }
+
     /// The config-independent key the miss-forensics index is built on:
     /// same hash chain as a cache key but seeded with a distinct constant,
     /// so structural keys never collide with real cache keys by accident.
@@ -587,6 +658,9 @@ pins_trace::counter_table! {
         cache_hits: u64 = "cache_hits",
         /// Queries that required an actual solve.
         cache_misses: u64 = "cache_misses",
+        /// Cache hits answered `Unsat` because the query contains a known
+        /// unsat core of its scope, not because its exact key was cached.
+        core_hits: u64 = "core_hits",
         /// Model-producing checks whose verdict was cached as satisfiable and
         /// therefore had to re-solve to recover a model for this arena.
         sat_resolves: u64 = "sat_resolves",
@@ -1020,9 +1094,10 @@ impl SmtSession {
     }
 
     /// Resolves a cache-hit core's fingerprints back to this query's slots.
-    /// Key equality implies the cached core's fingerprints are a subset of
-    /// this query's normalized assertion set, so every member resolves; the
-    /// first matching position is taken when a formula occurs twice.
+    /// Key equality and core subsumption both imply the cached core's
+    /// fingerprints are a subset of this query's normalized assertion set,
+    /// so every member resolves; the first matching position is taken when
+    /// a formula occurs twice.
     fn core_of_cached(&self, shape: &QueryShape, cached: &CachedCore) -> UnsatCore {
         let n = self.assertions.len();
         let members: Vec<CoreMember> = cached
@@ -1163,18 +1238,17 @@ impl SmtSession {
     /// Solves on a cache miss: one attempt at the session config, plus (when
     /// [`SmtConfig::retry_unknown`] is set) one retry at doubled budgets if
     /// the first attempt was stopped by a recoverable budget. The final
-    /// result is cached at `key`; a definitive retry result is additionally
-    /// cached at the escalated config's own key, and its write to `key`
-    /// upgrades the would-be `Unknown` entry in place
-    /// ([`SessionStats::cache_upgrades`]). An `Unsat` result's tracked core
-    /// is cached alongside the verdict and surfaced through
-    /// [`last_unsat_core`](Self::last_unsat_core).
+    /// result is cached at the query's key; a retry result is additionally
+    /// cached at the escalated config's own key, and a definitive one's
+    /// write to the query's key upgrades the would-be `Unknown` entry in
+    /// place ([`SessionStats::cache_upgrades`]). An `Unsat` result's tracked
+    /// core is cached alongside the verdict, indexed for core subsumption,
+    /// and surfaced through [`last_unsat_core`](Self::last_unsat_core).
     fn solve_and_cache(
         &mut self,
         arena: &mut TermArena,
         assumptions: &[TermId],
         shape: &QueryShape,
-        key: u128,
         span: &mut pins_trace::Span,
     ) -> SmtResult {
         let (mut result, mut tracked) = self.solve(arena, assumptions, self.config);
@@ -1185,12 +1259,15 @@ impl SmtSession {
                 self.metrics.counters.retries.inc();
                 let escalated = self.config.escalate();
                 let (retried, retried_core) = self.solve(arena, assumptions, escalated);
-                let esc_key = shape.key_for(config_fingerprint(&escalated));
                 let esc_core = retried_core
                     .as_ref()
                     .map(|c| Arc::new(self.cached_core(shape, c)));
-                self.cache
-                    .insert_entry(esc_key, Verdict::of(&retried), esc_core);
+                self.cache_verdict(
+                    shape,
+                    config_fingerprint(&escalated),
+                    Verdict::of(&retried),
+                    esc_core,
+                );
                 if !matches!(retried, SmtResult::Unknown(_)) {
                     // the larger budget settled it: upgrade the entry the
                     // original key would otherwise pin to Unknown
@@ -1207,7 +1284,7 @@ impl SmtSession {
         let cached = tracked
             .as_ref()
             .map(|c| Arc::new(self.cached_core(shape, c)));
-        self.cache.insert_entry(key, verdict, cached);
+        self.cache_verdict(shape, self.config_fp, verdict, cached);
         self.cache
             .note_solved(shape.structural_key(), &shape.sorted, verdict);
         if let Some(c) = tracked {
@@ -1215,6 +1292,23 @@ impl SmtSession {
             self.note_core(core, span);
         }
         result
+    }
+
+    /// Caches a solved verdict at `shape`'s key under `config_fp`, and
+    /// indexes an `Unsat` verdict's core under the matching scope.
+    fn cache_verdict(
+        &self,
+        shape: &QueryShape,
+        config_fp: u128,
+        verdict: Verdict,
+        core: Option<Arc<CachedCore>>,
+    ) {
+        if let (Verdict::Unsat, Some(c)) = (verdict, &core) {
+            self.cache
+                .index_core(shape.core_scope(config_fp), Arc::clone(c));
+        }
+        self.cache
+            .insert_entry(shape.key_for(config_fp), verdict, core);
     }
 
     /// Checks the current scope, producing a model on `Sat`.
@@ -1251,8 +1345,8 @@ impl SmtSession {
     /// The one query path behind [`check_under`](Self::check_under) and
     /// [`verdict_under`](Self::verdict_under): counts the query, opens its
     /// span, measures its shape and audit delta, then answers from the cache
-    /// or solves. With `need_model`, a cached `Sat` verdict is solved again
-    /// ([`SessionStats::sat_resolves`]).
+    /// (exact key, else a subsuming core) or solves. With `need_model`, a
+    /// cached `Sat` verdict is solved again ([`SessionStats::sat_resolves`]).
     fn query(&mut self, arena: &mut TermArena, assumptions: &[TermId], need_model: bool) -> Answer {
         let started = Instant::now();
         let phase = self.prov.phase();
@@ -1263,8 +1357,25 @@ impl SmtSession {
         let delta = self.note_audit(&shape);
         self.stamp_audit(&mut span, &shape, delta.as_ref());
         let key = shape.key_for(self.config_fp);
-        let answer = match self.cache.lookup(key) {
-            Some(entry) if !(need_model && entry.verdict.is_sat()) => {
+        let entry = self.cache.lookup(key);
+        let subsumed = match entry {
+            Some(_) => None,
+            None => self
+                .cache
+                .subsuming_core(shape.core_scope(self.config_fp), &shape.sorted),
+        };
+        let answer = match (entry, subsumed) {
+            (_, Some(c)) => {
+                self.metrics.counters.cache_hits.inc();
+                self.metrics.counters.core_hits.inc();
+                let core = self.core_of_cached(&shape, &c);
+                self.note_core(core, &mut span);
+                if span.is_active() {
+                    span.record("core_hit", true);
+                }
+                Answer::Cached(Verdict::Unsat)
+            }
+            (Some(entry), None) if !(need_model && entry.verdict.is_sat()) => {
                 self.metrics.counters.cache_hits.inc();
                 if let (Verdict::Unsat, Some(c)) = (entry.verdict, &entry.core) {
                     let core = self.core_of_cached(&shape, c);
@@ -1272,7 +1383,7 @@ impl SmtSession {
                 }
                 Answer::Cached(entry.verdict)
             }
-            hit => {
+            (hit, None) => {
                 if hit.is_some() {
                     // a cached `Sat`, solved again for a model in this arena
                     self.metrics.counters.cache_hits.inc();
@@ -1281,7 +1392,7 @@ impl SmtSession {
                     self.note_miss(&shape, &mut span);
                 }
                 let t0 = Instant::now();
-                let result = self.solve_and_cache(arena, assumptions, &shape, key, &mut span);
+                let result = self.solve_and_cache(arena, assumptions, &shape, &mut span);
                 self.metrics.counters.solve_time.add_duration(t0.elapsed());
                 Answer::Solved(result)
             }

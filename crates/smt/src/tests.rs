@@ -1631,3 +1631,290 @@ mod xray {
         assert!(s.last_unsat_core().is_none());
     }
 }
+
+mod core_index {
+    use std::sync::Arc;
+
+    use super::{cfg, int_var};
+    use crate::{CoreSlot, QueryCache, SmtConfig, SmtSession, Verdict};
+    use pins_logic::{TermArena, TermId};
+
+    /// `x >= 0`, `x < 0` (a two-member core) and a satisfiable bystander
+    /// `y >= 3`, all over one arena.
+    fn facts(a: &mut TermArena) -> (TermId, TermId, TermId) {
+        let x = int_var(a, "x");
+        let y = int_var(a, "y");
+        let zero = a.mk_int(0);
+        let three = a.mk_int(3);
+        (a.mk_ge(x, zero), a.mk_lt(x, zero), a.mk_ge(y, three))
+    }
+
+    fn seeded(cache: &Arc<QueryCache>, config: SmtConfig, a: &mut TermArena) -> SmtSession {
+        let (ge, lt, _) = facts(a);
+        let mut s = SmtSession::with_cache(config, Arc::clone(cache));
+        assert!(s.verdict_under(a, &[ge, lt]).is_unsat());
+        assert_eq!(s.stats().core_hits, 0, "a first solve is a miss");
+        s
+    }
+
+    #[test]
+    fn a_superset_of_a_known_core_hits_without_solving() {
+        let cache = Arc::new(QueryCache::new());
+        let mut a = TermArena::new();
+        let mut s = seeded(&cache, cfg(), &mut a);
+        let (ge, lt, bystander) = facts(&mut a);
+        assert!(s.verdict_under(&mut a, &[bystander, lt, ge]).is_unsat());
+        let st = s.stats();
+        assert_eq!((st.core_hits, st.cache_hits, st.cache_misses), (1, 1, 1));
+        assert_eq!(cache.len(), 1, "a core hit adds no cache entry");
+        // a model-producing check is answered the same way
+        assert!(s.check_under(&mut a, &[ge, bystander, lt]).is_unsat());
+        assert_eq!(s.stats().core_hits, 2);
+    }
+
+    #[test]
+    fn a_query_missing_one_core_member_does_not_hit() {
+        let cache = Arc::new(QueryCache::new());
+        let mut a = TermArena::new();
+        let mut s = seeded(&cache, cfg(), &mut a);
+        let (ge, _, bystander) = facts(&mut a);
+        assert!(s.verdict_under(&mut a, &[ge, bystander]).is_sat());
+        assert_eq!(s.stats().core_hits, 0);
+        assert_eq!(s.stats().cache_misses, 2);
+    }
+
+    #[test]
+    fn cores_do_not_cross_configs_or_axiom_sets() {
+        let cache = Arc::new(QueryCache::new());
+        let mut a = TermArena::new();
+        seeded(&cache, cfg(), &mut a);
+        let (ge, lt, bystander) = facts(&mut a);
+
+        let mut other = cfg();
+        other.max_theory_rounds += 1;
+        let mut s = SmtSession::with_cache(other, Arc::clone(&cache));
+        assert!(s.verdict_under(&mut a, &[ge, lt, bystander]).is_unsat());
+        assert_eq!(s.stats().core_hits, 0, "another config must solve");
+
+        let mut s = SmtSession::with_cache(cfg(), Arc::clone(&cache));
+        s.assert_axiom(bystander); // any extra axiom is another scope
+        assert!(s.verdict_under(&mut a, &[ge, lt, bystander]).is_unsat());
+        assert_eq!(s.stats().core_hits, 0, "another axiom set must solve");
+    }
+
+    #[test]
+    fn a_core_hit_resolves_the_core_to_the_query_slots() {
+        let cache = Arc::new(QueryCache::new());
+        let mut a = TermArena::new();
+        let mut fresh = seeded(&cache, cfg(), &mut a);
+        let id = fresh.last_unsat_core().expect("tracked core").id;
+        let (ge, lt, bystander) = facts(&mut a);
+        let mut s = SmtSession::with_cache(cfg(), Arc::clone(&cache));
+        s.assert(bystander);
+        s.assert(lt);
+        assert!(s.is_unsat_under(&mut a, &[bystander, ge]));
+        assert_eq!(s.stats().core_hits, 1);
+        let core = s.last_unsat_core().expect("a core hit carries its core");
+        let mut slots: Vec<CoreSlot> = core.members.iter().map(|m| m.slot).collect();
+        slots.sort_by_key(|slot| format!("{slot:?}"));
+        assert_eq!(slots, vec![CoreSlot::Assertion(1), CoreSlot::Assumption(1)]);
+        assert_eq!(core.id, id, "the same core, by content");
+        assert_eq!(s.stats().cores, 1);
+        // the subsumed query's verdict is the one a fresh solve reaches
+        assert!(fresh.verdict_under(&mut a, &[lt, bystander, ge]).is_unsat());
+    }
+
+    #[test]
+    fn core_hits_count_as_hits_and_partition_queries() {
+        let cache = Arc::new(QueryCache::new());
+        let mut a = TermArena::new();
+        let mut s = seeded(&cache, cfg(), &mut a);
+        let (ge, lt, bystander) = facts(&mut a);
+        let queries: [&[TermId]; 5] = [
+            &[ge, lt],
+            &[ge, lt, bystander],
+            &[bystander],
+            &[lt, bystander, ge],
+            &[ge, bystander],
+        ];
+        let verdicts: Vec<Verdict> = queries.iter().map(|q| s.verdict_under(&mut a, q)).collect();
+        assert!(verdicts[0].is_unsat() && verdicts[1].is_unsat() && verdicts[3].is_unsat());
+        let st = s.stats();
+        assert_eq!(st.queries, 6);
+        assert_eq!(st.cache_hits + st.cache_misses, st.queries);
+        assert!(st.core_hits <= st.cache_hits);
+        assert_eq!(st.core_hits, 2, "{st:?}");
+        assert_eq!(cache.len() as u64, st.cache_misses);
+    }
+}
+
+mod witness {
+    use super::{arr_var, int_var};
+    use crate::{Definitions, Model, Witness};
+    use pins_logic::{Sort, TermArena, TermId};
+
+    fn versioned(a: &mut TermArena, name: &str, version: u32) -> TermId {
+        let s = a.sym(name);
+        a.mk_var(s, version, Sort::Int)
+    }
+
+    /// `x1 = x0 + 1` is computed forward whichever side the arena puts the
+    /// variable on, overriding a stale model value.
+    #[test]
+    fn definitions_work_in_both_orientations() {
+        let mut a = TermArena::new();
+        let x0 = versioned(&mut a, "x", 0);
+        let x1 = versioned(&mut a, "x", 1); // older than the sum: left side
+        let one = a.mk_int(1);
+        let sum = a.mk_add(x0, one);
+        let y1 = versioned(&mut a, "y", 1); // newer than the sum: right side
+        let def_x = a.mk_eq(x1, sum);
+        let def_y = a.mk_eq(sum, y1);
+        let mut model = Model::default();
+        model.ints.insert(x0, 5);
+        model.ints.insert(x1, 0);
+        model.ints.insert(y1, 0);
+        let (six, seven) = (a.mk_int(6), a.mk_int(7));
+        for (v, def) in [(x1, def_x), (y1, def_y)] {
+            let holds = a.mk_eq(v, six);
+            let fails = a.mk_eq(v, seven);
+            let hyps = [def];
+            let defs = Definitions::of(&a, &hyps);
+            let mut w = Witness::new(&a, &model, &defs);
+            assert_eq!(w.int(v), Some(6));
+            assert!(!w.refutes(&hyps, holds));
+            assert!(w.refutes(&hyps, fails));
+        }
+    }
+
+    #[test]
+    fn cycles_overflow_and_uninterpreted_sorts_give_no_verdict() {
+        let mut a = TermArena::new();
+        let x = int_var(&mut a, "x");
+        let y = int_var(&mut a, "y");
+        let one = a.mk_int(1);
+        let zero = a.mk_int(0);
+        let model = Model::default();
+
+        // x = y + 1 and y = x - 1 define each other
+        let yp = a.mk_add(y, one);
+        let xm = a.mk_sub(x, one);
+        let hyps = [a.mk_eq(x, yp), a.mk_eq(y, xm)];
+        let goal = a.mk_le(x, zero);
+        // y = x + 1 overflows at x = i64::MAX
+        let xp = a.mk_add(x, one);
+        let overflowing = [a.mk_eq(y, xp)];
+        let negative = a.mk_le(y, zero);
+        // values of an uninterpreted sort are not modelled
+        let obj = a.symbols_mut().intern("Obj");
+        let (us, vs) = (a.sym("u"), a.sym("v"));
+        let u = a.mk_var(us, 0, Sort::Unint(obj));
+        let v = a.mk_var(vs, 0, Sort::Unint(obj));
+        let same = a.mk_eq(u, v);
+
+        let defs = Definitions::of(&a, &hyps);
+        let mut w = Witness::new(&a, &model, &defs);
+        assert_eq!(w.int(x), None);
+        assert!(!Witness::new(&a, &model, &defs).refutes(&hyps, goal));
+
+        let mut big = Model::default();
+        big.ints.insert(x, i64::MAX);
+        let defs = Definitions::of(&a, &overflowing);
+        let mut w = Witness::new(&a, &big, &defs);
+        assert_eq!(w.holds(overflowing[0]), None);
+        assert!(!Witness::new(&a, &big, &defs).refutes(&overflowing, negative));
+
+        let defs = Definitions::default();
+        assert_eq!(Witness::new(&a, &model, &defs).holds(same), None);
+    }
+
+    /// An uninterpreted application is undetermined even where the model
+    /// values it: a witness never interprets a function.
+    #[test]
+    fn applications_give_no_verdict() {
+        let mut a = TermArena::new();
+        let f = a.declare_fun("f", vec![Sort::Int], Sort::Int);
+        let x = int_var(&mut a, "x");
+        let y = int_var(&mut a, "y");
+        let fx = a.mk_app(f, vec![x]);
+        let mut model = Model::default();
+        model.ints.insert(x, 1);
+        model.ints.insert(y, 7);
+        model.ints.insert(fx, 7);
+        let seven = a.mk_int(7);
+        let eq = a.mk_eq(fx, seven);
+        let hyps = [a.mk_eq(y, fx)];
+        let goal = a.mk_le(y, seven);
+        let defs = Definitions::of(&a, &hyps);
+        let mut w = Witness::new(&a, &model, &defs);
+        assert_eq!(w.int(x), Some(1));
+        assert_eq!(w.int(fx), None);
+        assert_eq!(w.holds(eq), None);
+        assert_eq!(
+            w.int(y),
+            None,
+            "a definition through `f` is undetermined too"
+        );
+        assert!(!Witness::new(&a, &model, &defs).refutes(&hyps, goal));
+        assert!(!w.into_model().ints.contains_key(&fx));
+    }
+
+    #[test]
+    fn arrays_default_to_zero_and_updates_apply() {
+        let mut a = TermArena::new();
+        let arr = arr_var(&mut a, "A");
+        let empty = arr_var(&mut a, "B");
+        let (one, two, three, zero) = (a.mk_int(1), a.mk_int(2), a.mk_int(3), a.mk_int(0));
+        let mut model = Model::default();
+        model.arrays.insert(arr, vec![(1, 5)]);
+        let at1 = a.mk_sel(arr, one);
+        let at2 = a.mk_sel(arr, two);
+        let written = a.mk_upd(arr, two, three);
+        let read = a.mk_sel(written, two);
+        // clearing the one stored cell leaves the all-zero array
+        let cleared = a.mk_upd(arr, one, zero);
+        let same = a.mk_eq(cleared, empty);
+        let differs = a.mk_eq(arr, empty);
+        let defs = Definitions::default();
+        let mut w = Witness::new(&a, &model, &defs);
+        assert_eq!((w.int(at1), w.int(at2)), (Some(5), Some(0)));
+        assert_eq!(w.int(read), Some(3));
+        assert_eq!(w.holds(same), Some(true));
+        assert_eq!(w.holds(differs), Some(false));
+    }
+
+    /// `∀k. 0 <= k < n => A[k] = B[k]` is falsified at a stored cell, and
+    /// never concluded true when no pool value falsifies it.
+    #[test]
+    fn a_forall_is_falsified_from_the_pool_but_never_concluded_true() {
+        let mut a = TermArena::new();
+        let arr = arr_var(&mut a, "A");
+        let other = arr_var(&mut a, "B");
+        let n = int_var(&mut a, "n");
+        let k = a.sym("k");
+        let bk = a.mk_bound(k, Sort::Int);
+        let zero = a.mk_int(0);
+        let lo = a.mk_le(zero, bk);
+        let hi = a.mk_lt(bk, n);
+        let range = a.mk_and(vec![lo, hi]);
+        let (sa, sb) = (a.mk_sel(arr, bk), a.mk_sel(other, bk));
+        let eq = a.mk_eq(sa, sb);
+        let body = a.mk_implies(range, eq);
+        let all = a.mk_forall(vec![(k, Sort::Int)], body);
+        let not_all = a.mk_not(all);
+        let defs = Definitions::default();
+
+        let mut differ = Model::default();
+        differ.ints.insert(n, 5);
+        differ.arrays.insert(arr, vec![(2, 7)]);
+        let mut w = Witness::new(&a, &differ, &defs);
+        assert_eq!(w.holds(all), Some(false));
+        assert_eq!(w.holds(not_all), Some(true));
+
+        let mut agree = differ.clone();
+        agree.arrays.insert(other, vec![(2, 7)]);
+        let mut w = Witness::new(&a, &agree, &defs);
+        assert_eq!(w.holds(all), None);
+        assert_eq!(w.holds(not_all), None);
+    }
+}
