@@ -12,10 +12,11 @@
 //!    verdicts, exhaustive enumeration vs UNSAT verdicts, cache vs
 //!    recomputation, the concrete interpreter vs symbolic execution
 //!    discharged through SMT, budget-degraded runs vs complete runs, unsat
-//!    cores vs fresh solves, and sliced vs whole constraints. Non-definitive results
+//!    cores vs fresh solves, sliced vs whole constraints, and axiom
+//!    instantiation vs a brute-force reference. Non-definitive results
 //!    (`Unknown`, incomplete `Sat`) are compatible with anything; only
 //!    definitive disagreements are violations.
-//! 3. **Greedy tape shrinking** ([`shrink`]): failing tapes are
+//! 3. **Greedy tape shrinking** ([`shrink`](mod@shrink)): failing tapes are
 //!    delta-reduced against the same oracle, and the minimized artifact is
 //!    emitted in the JSONL report for replay via `pins-fuzz --oracle O
 //!    --tape T`.
@@ -27,6 +28,7 @@
 pub mod eval;
 pub mod genf;
 pub mod genp;
+pub mod genq;
 pub mod oracles;
 pub mod report;
 pub mod shrink;
@@ -47,7 +49,7 @@ pub struct FuzzOptions {
     pub iters: u64,
     /// Master seed; per-iteration seeds derive from it.
     pub seed: u64,
-    /// Restrict to a single oracle (otherwise round-robin over all eight).
+    /// Restrict to a single oracle (otherwise round-robin over all nine).
     pub oracle: Option<OracleKind>,
     /// Wall-clock bound for the whole run, in milliseconds. Checked between
     /// iterations; when it trips, the run stops early (the report then

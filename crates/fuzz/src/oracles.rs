@@ -8,26 +8,28 @@
 //! any machine, which is what makes shrunk artifacts and CI smoke runs
 //! trustworthy.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
 use pins_budget::Budget;
 use pins_core::{Constraint, ConstraintLabel, HoleDomains, Slicer};
 use pins_ir::{run as interp_run, ExternEnv, InterpError, Store, Value};
 use pins_ir::{EHoleId, Expr, Mode, Program, Stmt, Type, VarId};
-use pins_logic::TermId;
+use pins_logic::{collect_subterms, Term, TermArena, TermId, BOUND_VERSION};
 use pins_smt::{
-    CoreSlot, Definitions, Model, QueryCache, Smt, SmtConfig, SmtResult, SmtSession, Verdict,
-    Witness,
+    instantiate, CompiledAxioms, CoreSlot, Definitions, InstConfig, Model, QueryCache, Smt,
+    SmtConfig, SmtResult, SmtSession, Verdict, Witness,
 };
 use pins_symexec::{apply_filler_term, EmptyFiller, ExploreConfig, Explorer, MapFiller, SymCtx};
 
 use crate::eval::{check_model, enumerate_sat};
 use crate::genf::{gen_conjunct, gen_definitions, gen_formula, FormulaConfig, GenFormula};
 use crate::genp::{gen_program, ProgramConfig};
+use crate::genq::{gen_axioms, GenAxioms};
 use crate::tape::Decisions;
 
-/// The eight differential oracles.
+/// The nine differential oracles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleKind {
     /// `Sat` verdicts: the returned model must satisfy the formula under an
@@ -55,10 +57,14 @@ pub enum OracleKind {
     /// and a stored model the witness evaluator accepts for a new formula
     /// really satisfies it.
     Shortcut,
+    /// Upfront axiom instantiation returns exactly the instances a
+    /// brute-force reference finds round by round, and the arena's
+    /// groundness bit agrees with a walk of every generated term.
+    Ground,
 }
 
 /// All oracles, in the round-robin order the driver uses.
-pub const ALL_ORACLES: [OracleKind; 8] = [
+pub const ALL_ORACLES: [OracleKind; 9] = [
     OracleKind::ModelEval,
     OracleKind::EnumUnsat,
     OracleKind::Cache,
@@ -67,6 +73,7 @@ pub const ALL_ORACLES: [OracleKind; 8] = [
     OracleKind::Core,
     OracleKind::Slice,
     OracleKind::Shortcut,
+    OracleKind::Ground,
 ];
 
 impl OracleKind {
@@ -81,6 +88,7 @@ impl OracleKind {
             OracleKind::Core => "core",
             OracleKind::Slice => "slice",
             OracleKind::Shortcut => "shortcut",
+            OracleKind::Ground => "ground",
         }
     }
 
@@ -159,6 +167,7 @@ pub fn run_oracle(kind: OracleKind, d: &mut Decisions) -> OracleOutcome {
         OracleKind::Core => core_soundness(d),
         OracleKind::Slice => slice_exactness(d),
         OracleKind::Shortcut => shortcut_exactness(d),
+        OracleKind::Ground => ground_exactness(d),
     }
 }
 
@@ -811,6 +820,187 @@ fn witness_replay(d: &mut Decisions, f: &mut GenFormula, model: &Model) -> Oracl
     } else {
         OracleOutcome::fail(violations, "replayed")
     }
+}
+
+// ---------------------------------------------------------------------------
+// 9. ground
+// ---------------------------------------------------------------------------
+
+/// Rounds of instantiation the `ground` oracle runs (the solver's default).
+const GROUND_ROUNDS: usize = 3;
+
+/// Bindings one axiom may have in one reference round before the run is
+/// declared too large to enumerate.
+const GROUND_BINDING_LIMIT: usize = 4096;
+
+fn ground_exactness(d: &mut Decisions) -> OracleOutcome {
+    let mut g = gen_axioms(d);
+    let compiled = CompiledAxioms::compile(&g.arena, &g.axioms);
+    // the reference works in the same arena, so hash-consing makes an
+    // instance it builds the very term instantiation builds
+    let Some((expected, rounds)) = reference_instances(&mut g, &compiled) else {
+        return OracleOutcome::skip("too-many-bindings");
+    };
+    // the reference has at most this many instances: the cap binds only
+    // when instantiation returns too many
+    let config = InstConfig {
+        max_rounds: GROUND_ROUNDS,
+        max_instances: GROUND_ROUNDS * g.axioms.len() * GROUND_BINDING_LIMIT,
+    };
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        instantiate(
+            &mut g.arena,
+            &compiled,
+            &g.roots,
+            config,
+            &Budget::unlimited(),
+        )
+    }));
+    let out = match run {
+        Ok(out) => out,
+        Err(panic) => {
+            let msg = panic
+                .downcast_ref::<&str>()
+                .map(|m| m.to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_default();
+            return OracleOutcome::fail(vec![format!("instantiate panicked: {msg}")], "panic");
+        }
+    };
+    let mut violations = Vec::new();
+    let mut terms = HashSet::new();
+    for &t in g.roots.iter().chain(&g.axioms).chain(&out.instances) {
+        collect_subterms(&g.arena, t, &mut terms);
+    }
+    let mut terms: Vec<TermId> = terms.into_iter().collect();
+    terms.sort_unstable();
+    for t in terms {
+        let walked = walk_ground(&g.arena, t);
+        if g.arena.is_ground(t) != walked {
+            violations.push(format!(
+                "groundness bit of {} is {}, a walk of its subterms says {walked}",
+                g.arena.display(t),
+                !walked
+            ));
+        }
+    }
+    let mut got = out.instances.clone();
+    got.sort_unstable();
+    if got != expected || out.truncated || out.stopped.is_some() {
+        let show = |t: Option<&TermId>| t.map(|&t| g.arena.display(t).to_string());
+        let missing = expected.iter().find(|e| !got.contains(e));
+        let extra = got.iter().find(|e| !expected.contains(e));
+        violations.push(format!(
+            "instantiate returned {} instances, the reference {} (truncated={}, stopped={:?}); \
+             first missing {:?}, first extra {:?}",
+            got.len(),
+            expected.len(),
+            out.truncated,
+            out.stopped,
+            show(missing),
+            show(extra)
+        ));
+    }
+    let detail = format!("rounds-{rounds}");
+    if violations.is_empty() {
+        OracleOutcome::pass(detail)
+    } else {
+        OracleOutcome::fail(violations, detail)
+    }
+}
+
+/// Whether no bound variable occurs in `t`, by walking its subterms.
+fn walk_ground(arena: &TermArena, t: TermId) -> bool {
+    let mut subs = HashSet::new();
+    collect_subterms(arena, t, &mut subs);
+    !subs
+        .iter()
+        .any(|&s| matches!(arena.term(s), Term::Var { version, .. } if *version == BOUND_VERSION))
+}
+
+/// The instances of `g`'s axioms, sorted, with the number of
+/// rounds that produced any: round by round, every binding of an axiom's
+/// bound variables to ground universe terms of their sorts under which
+/// every one of its triggers, instantiated, is a universe term, minus the
+/// bindings of earlier rounds. `None` when a round has too many bindings
+/// to enumerate.
+fn reference_instances(
+    g: &mut GenAxioms,
+    compiled: &CompiledAxioms,
+) -> Option<(Vec<TermId>, usize)> {
+    let arena = &mut g.arena;
+    let mut universe = HashSet::new();
+    for &r in &g.roots {
+        collect_subterms(arena, r, &mut universe);
+    }
+    let mut done = HashSet::new();
+    let mut instances = Vec::new();
+    let mut rounds = 0;
+    for _ in 0..GROUND_ROUNDS {
+        let mut ground: Vec<TermId> = universe
+            .iter()
+            .copied()
+            .filter(|&t| walk_ground(arena, t))
+            .collect();
+        ground.sort_unstable();
+        let mut new = Vec::new();
+        for (i, &ax) in g.axioms.iter().enumerate() {
+            let triggers = compiled.triggers(i);
+            let Term::Forall(decls, body) = arena.term(ax).clone() else {
+                continue;
+            };
+            if triggers.is_empty() {
+                continue;
+            }
+            let vars: Vec<TermId> = decls
+                .iter()
+                .map(|&(sym, sort)| arena.mk_bound(sym, sort))
+                .collect();
+            let domains: Vec<Vec<TermId>> = vars
+                .iter()
+                .map(|&v| {
+                    let sort = arena.sort(v);
+                    ground
+                        .iter()
+                        .copied()
+                        .filter(|&t| arena.sort(t) == sort)
+                        .collect()
+                })
+                .collect();
+            let combos: usize = domains.iter().map(Vec::len).product();
+            if combos > GROUND_BINDING_LIMIT {
+                return None;
+            }
+            for k in 0..combos {
+                let mut map = HashMap::new();
+                let mut rest = k;
+                for (&v, dom) in vars.iter().zip(&domains) {
+                    map.insert(v, dom[rest % dom.len()]);
+                    rest /= dom.len();
+                }
+                if !triggers
+                    .iter()
+                    .all(|&p| universe.contains(&arena.substitute(p, &map)))
+                {
+                    continue;
+                }
+                let key: Vec<TermId> = vars.iter().map(|v| map[v]).collect();
+                if done.insert((ax, key)) {
+                    new.push(arena.substitute(body, &map));
+                }
+            }
+        }
+        if new.is_empty() {
+            break;
+        }
+        rounds += 1;
+        for &t in &new {
+            collect_subterms(arena, t, &mut universe);
+        }
+        instances.extend(new);
+    }
+    instances.sort_unstable();
+    Some((instances, rounds))
 }
 
 /// A fresh one-shot solve of `asserts` in `f`'s arena.

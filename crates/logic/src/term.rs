@@ -94,6 +94,8 @@ pub struct FunDecl {
 pub struct TermArena {
     terms: Vec<Term>,
     sorts: Vec<Sort>,
+    /// Per term: whether no [`BOUND_VERSION`] variable occurs in it.
+    ground: Vec<bool>,
     intern: HashMap<Term, TermId>,
     symbols: SymbolTable,
     fun_decls: HashMap<Symbol, FunDecl>,
@@ -113,6 +115,7 @@ impl TermArena {
         let mut arena = TermArena {
             terms: Vec::new(),
             sorts: Vec::new(),
+            ground: Vec::new(),
             intern: HashMap::new(),
             symbols: SymbolTable::new(),
             fun_decls: HashMap::new(),
@@ -129,10 +132,31 @@ impl TermArena {
             return id;
         }
         let id = TermId(self.terms.len() as u32);
+        let ground = self.ground_of(&term);
         self.intern.insert(term.clone(), id);
         self.terms.push(term);
         self.sorts.push(sort);
+        self.ground.push(ground);
         id
+    }
+
+    /// Whether `term` (not yet interned) is ground, from its children's bits.
+    fn ground_of(&self, term: &Term) -> bool {
+        let g = |k: &TermId| self.ground[k.0 as usize];
+        match term {
+            Term::Var { version, .. } => *version != BOUND_VERSION,
+            Term::IntConst(_) | Term::BoolConst(_) | Term::Hole(..) => true,
+            Term::Add(a, b)
+            | Term::Sub(a, b)
+            | Term::Mul(a, b)
+            | Term::Sel(a, b)
+            | Term::Eq(a, b)
+            | Term::Le(a, b)
+            | Term::Lt(a, b) => g(a) && g(b),
+            Term::Upd(a, b, c) | Term::Ite(a, b, c) => g(a) && g(b) && g(c),
+            Term::Not(a) | Term::Forall(_, a) => g(a),
+            Term::App(_, kids) | Term::And(kids) | Term::Or(kids) => kids.iter().all(g),
+        }
     }
 
     /// The structure of term `id`.
@@ -143,6 +167,13 @@ impl TermArena {
     /// The sort of term `id`.
     pub fn sort(&self, id: TermId) -> Sort {
         self.sorts[id.0 as usize]
+    }
+
+    /// Whether no quantifier-bound ([`BOUND_VERSION`]) variable occurs in
+    /// term `id`, under a `Forall` included. Computed once, when the term is
+    /// interned, from its children's bits.
+    pub fn is_ground(&self, id: TermId) -> bool {
+        self.ground[id.0 as usize]
     }
 
     /// Number of interned terms.

@@ -259,3 +259,39 @@ fn fresh_symbols_never_collide() {
     assert_eq!(t.name(a), "x");
     assert_ne!(t.name(b), t.name(c));
 }
+
+#[test]
+fn groundness_bit_tracks_bound_variables_through_every_operator() {
+    let (mut a, vx, vy) = setup();
+    let k = a.sym("k");
+    let bk = a.mk_bound(k, Sort::Int);
+    let arr = a.sym("arr");
+    let va = a.mk_var(arr, 0, Sort::IntArray);
+    let f = a.declare_fun("f", vec![Sort::Int, Sort::Int], Sort::Int);
+    let ground_app = a.mk_app(f, vec![vx, vy]);
+    let open_app = a.mk_app(f, vec![vx, bk]);
+    let open_sel = a.mk_sel(va, bk);
+    let open_upd = a.mk_upd(va, vx, bk);
+    let body = a.mk_le(open_sel, ground_app);
+    let q = a.mk_forall(vec![(k, Sort::Int)], body);
+    let guard = a.mk_lt(vx, vy);
+    let wrapped = a.mk_and(vec![guard, q]);
+    for t in [vx, ground_app, guard, a.mk_true()] {
+        assert!(a.is_ground(t), "{}", a.display(t));
+    }
+    // a closed `Forall` still has its bound variable inside: the bit is
+    // about occurrence, not about binding
+    for t in [bk, open_app, open_sel, open_upd, body, q, wrapped] {
+        assert!(!a.is_ground(t), "{}", a.display(t));
+    }
+    // the bit agrees with a walk of the subterm DAG on every term
+    for i in 0..a.len() {
+        let t = TermId(i as u32);
+        let mut subs = HashSet::new();
+        collect_subterms(&a, t, &mut subs);
+        let walked = !subs
+            .iter()
+            .any(|&s| matches!(a.term(s), Term::Var { version, .. } if *version == BOUND_VERSION));
+        assert_eq!(a.is_ground(t), walked, "{}", a.display(t));
+    }
+}

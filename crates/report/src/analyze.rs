@@ -27,7 +27,7 @@ pub struct OriginCost {
 pub struct PassTimes {
     /// `smt.check` spans summed.
     pub checks: u64,
-    /// Grounding, preprocessing, CNF encoding and atom compilation.
+    /// Preprocessing, CNF encoding and atom compilation.
     pub prep_us: u64,
     /// CDCL search, theory hooks excluded.
     pub sat_us: u64,
@@ -37,11 +37,21 @@ pub struct PassTimes {
     pub lia_us: u64,
     /// E-matching rounds.
     pub ematch_us: u64,
+    /// Upfront axiom instantiation (counted in `prep_us` by traces that
+    /// predate the field, which read 0 here).
+    pub inst_us: u64,
 }
 
 impl PassTimes {
     /// The per-pass field names on `smt.check` spans, in column order.
-    pub const FIELDS: [&'static str; 5] = ["prep_us", "sat_us", "euf_us", "lia_us", "ematch_us"];
+    pub const FIELDS: [&'static str; 6] = [
+        "prep_us",
+        "sat_us",
+        "euf_us",
+        "lia_us",
+        "ematch_us",
+        "inst_us",
+    ];
 
     fn add_check(&mut self, ev: &TraceEvent) {
         let f = |k: &str| ev.field_num(k).unwrap_or(0.0) as u64;
@@ -51,6 +61,7 @@ impl PassTimes {
         self.euf_us += f("euf_us");
         self.lia_us += f("lia_us");
         self.ematch_us += f("ematch_us");
+        self.inst_us += f("inst_us");
     }
 
     fn absorb(&mut self, o: &PassTimes) {
@@ -60,16 +71,18 @@ impl PassTimes {
         self.euf_us += o.euf_us;
         self.lia_us += o.lia_us;
         self.ematch_us += o.ematch_us;
+        self.inst_us += o.inst_us;
     }
 
     /// The pass times in [`PassTimes::FIELDS`] order.
-    pub fn values(&self) -> [u64; 5] {
+    pub fn values(&self) -> [u64; 6] {
         [
             self.prep_us,
             self.sat_us,
             self.euf_us,
             self.lia_us,
             self.ematch_us,
+            self.inst_us,
         ]
     }
 }
@@ -381,9 +394,29 @@ mod tests {
         let a = Analysis::from_trace(&trace, 10);
         let p = a.passes["vshift"];
         assert_eq!(p.checks, 2);
-        assert_eq!(p.values(), [6, 12, 33, 44, 1]);
+        assert_eq!(p.values()[..5], [6, 12, 33, 44, 1]);
+        assert_eq!(p.inst_us, 0, "a trace without the field reads 0");
         let text = crate::render::analysis_report(&a, &trace.stats, &[]);
         assert!(text.contains("solver time per pass"), "{text}");
+    }
+
+    #[test]
+    fn upfront_instantiation_gets_its_own_column() {
+        let trace = Trace::parse(concat!(
+            r#"{"seq":1,"t_us":0,"thread":0,"kind":"span_end","name":"smt.check","span":2,"parent":1,"dur_us":90,"fields":{"prep_us":5,"inst_us":7,"sat_us":10,"euf_us":30,"lia_us":40,"ematch_us":1}}"#,
+            "\n",
+            r#"{"seq":2,"t_us":2,"thread":0,"kind":"span_end","name":"smt.query","span":1,"dur_us":100,"fields":{"bench":"serialize","phase":"solve","cached":false}}"#,
+            "\n",
+        ));
+        let a = Analysis::from_trace(&trace, 10);
+        assert_eq!(a.passes["serialize"].values(), [5, 10, 30, 40, 1, 7]);
+        let text = crate::render::analysis_report(&a, &trace.stats, &[]);
+        let header = text
+            .lines()
+            .skip_while(|l| !l.contains("solver time per pass"))
+            .nth(1)
+            .unwrap_or_default();
+        assert!(header.trim_end().ends_with("ematch       inst"), "{text}");
     }
 
     #[test]

@@ -12,9 +12,10 @@
 use std::collections::{HashMap, HashSet};
 
 use pins_budget::Budget;
-use pins_logic::{collect_subterms, Sort, Term, TermArena, TermId, BOUND_VERSION};
+use pins_logic::{Term, TermArena, TermId};
 
 use crate::euf::Euf;
+use crate::trigger::{head_of, Binding, CompiledAxiom, CompiledAxioms, Head};
 
 /// Budget for congruence-aware instantiation per theory round.
 #[derive(Debug, Clone, Copy)]
@@ -34,7 +35,21 @@ impl Default for EmatchConfig {
     }
 }
 
-type Subst = HashMap<TermId, TermId>;
+/// The e-graph's classes as the matcher sees them.
+struct Classes {
+    members: HashMap<u32, Vec<TermId>>,
+    root_of: HashMap<TermId, u32>,
+}
+
+impl Classes {
+    fn same(&self, a: TermId, b: TermId) -> bool {
+        a == b
+            || self
+                .root_of
+                .get(&a)
+                .is_some_and(|r1| self.root_of.get(&b) == Some(r1))
+    }
+}
 
 /// Runs one e-matching round of `axioms` against the e-graph in `euf`.
 /// Returns ground instances not seen before (tracked in `done`). Polls
@@ -44,7 +59,7 @@ type Subst = HashMap<TermId, TermId>;
 pub fn ematch_round(
     arena: &mut TermArena,
     euf: &Euf,
-    axioms: &[TermId],
+    axioms: &CompiledAxioms,
     done: &mut HashSet<(TermId, Vec<TermId>)>,
     instances_so_far: usize,
     config: EmatchConfig,
@@ -56,184 +71,148 @@ pub fn ematch_round(
     for &(t, root) in &class_terms {
         members.entry(root).or_default().push(t);
     }
-    let mut root_of: HashMap<TermId, u32> = HashMap::new();
-    for &(t, root) in &class_terms {
-        root_of.insert(t, root);
-    }
+    let root_of: HashMap<TermId, u32> = class_terms.iter().copied().collect();
     // canonical representative per class: the smallest term id (stable as
     // ids only grow), so duplicate matches across members collapse
-    let mut repr: HashMap<u32, TermId> = HashMap::new();
-    for (&root, terms) in &members {
-        repr.insert(root, *terms.iter().min().unwrap());
-    }
-    let canon = |t: TermId, root_of: &HashMap<TermId, u32>| -> TermId {
-        root_of
+    let repr: HashMap<u32, TermId> = members
+        .iter()
+        .map(|(&root, terms)| (root, *terms.iter().min().unwrap()))
+        .collect();
+    let classes = Classes { members, root_of };
+    let canon = |t: TermId| -> TermId {
+        classes
+            .root_of
             .get(&t)
             .and_then(|r| repr.get(r))
             .copied()
             .unwrap_or(t)
     };
-    // one seed per class, not per term; sorted, because seed order decides
-    // which matches land inside the instance/branch caps and hash-map order
-    // would make the instantiated set differ from process to process
-    let mut seeds: Vec<TermId> = repr.values().copied().collect();
-    seeds.sort_unstable();
+    // one seed per class, not per term, indexed by every head a member of
+    // the class has: a trigger only matches a class with a member of its
+    // head. Sorted, because seed order decides which matches land inside
+    // the instance/branch caps and hash-map order would make the
+    // instantiated set differ from process to process
+    let mut seeds: HashMap<Head, Vec<TermId>> = HashMap::new();
+    for &(t, root) in &class_terms {
+        if let Some(head) = head_of(arena, t) {
+            seeds.entry(head).or_default().push(repr[&root]);
+        }
+    }
+    for s in seeds.values_mut() {
+        s.sort_unstable();
+        s.dedup();
+    }
 
     let mut out = Vec::new();
-    for &ax in axioms {
+    for ax in axioms.iter() {
         if budget.charge(1).is_err() {
             return out;
         }
-        let Term::Forall(vars, body) = arena.term(ax).clone() else {
-            continue;
-        };
-        let bound: Vec<(TermId, Sort)> = vars
-            .iter()
-            .map(|&(sym, sort)| (arena.mk_var(sym, BOUND_VERSION, sort), sort))
-            .collect();
-        let triggers = select_triggers(arena, body, &bound);
-        if triggers.is_empty() {
+        if ax.triggers.is_empty() {
             continue;
         }
-        // seed matching from the first trigger over every registered term,
-        // then refine through the remaining triggers
-        let mut partials: Vec<Subst> = vec![HashMap::new()];
-        for &trig in &triggers {
-            let mut next: Vec<Subst> = Vec::new();
+        // seed matching from the first trigger over every class with its
+        // head, then refine through the remaining triggers
+        let mut partials: Vec<Binding> = vec![ax.empty_binding()];
+        for trig in &ax.triggers {
+            let mut next: Vec<Binding> = Vec::new();
             for partial in &partials {
-                for &t in &seeds {
-                    let mut branches = vec![partial.clone()];
-                    match_mod_euf(
+                for &t in seeds.get(&trig.head).map_or(&[][..], Vec::as_slice) {
+                    let mut branches = match_mod_euf(
                         arena,
-                        &members,
-                        &root_of,
-                        trig,
+                        ax,
+                        &classes,
+                        trig.pat,
                         t,
-                        &mut branches,
+                        partial.clone(),
                         config.max_branches,
                     );
                     // canonicalize bindings to class representatives
                     for b in &mut branches {
-                        let canonical: Subst =
-                            b.iter().map(|(&k, &v)| (k, canon(v, &root_of))).collect();
-                        *b = canonical;
+                        for v in b.iter_mut().flatten() {
+                            *v = canon(*v);
+                        }
                     }
                     next.extend(branches);
                 }
             }
-            dedup_substs(&mut next);
+            let mut seen = HashSet::new();
+            next.retain(|b| seen.insert(b.clone()));
             partials = next;
             if partials.is_empty() {
                 break;
             }
         }
-        for subst in partials {
-            if !bound.iter().all(|&(v, _)| subst.contains_key(&v)) {
-                continue;
-            }
-            let key: Vec<TermId> = bound.iter().map(|&(v, _)| subst[&v]).collect();
-            if !done.insert((ax, key)) {
+        for binding in partials {
+            if !done.insert((ax.axiom, ax.key(&binding))) {
                 continue;
             }
             if instances_so_far + out.len() >= config.max_instances {
                 return out;
             }
-            out.push(arena.substitute(body, &subst));
+            out.push(ax.instance(arena, &binding));
         }
     }
     out
 }
 
-fn dedup_substs(substs: &mut Vec<Subst>) {
-    let mut seen: HashSet<Vec<(TermId, TermId)>> = HashSet::new();
-    substs.retain(|s| {
-        let mut key: Vec<(TermId, TermId)> = s.iter().map(|(&k, &v)| (k, v)).collect();
-        key.sort_unstable();
-        seen.insert(key)
-    });
-}
-
-/// Extends each branch in `branches` with matches of `pat` against `t`
-/// (modulo the congruence in `members`). Branches that fail are removed;
-/// successful (possibly multiple) extensions are appended. The first entry
-/// is treated as the seed and is removed unless it matched trivially.
+/// The matches of `pat` against `t` modulo the congruence in `classes`
+/// that extend `seed`, at most about `max_branches` of them.
 fn match_mod_euf(
     arena: &TermArena,
-    members: &HashMap<u32, Vec<TermId>>,
-    root_of: &HashMap<TermId, u32>,
+    ax: &CompiledAxiom,
+    classes: &Classes,
     pat: TermId,
     t: TermId,
-    branches: &mut Vec<Subst>,
+    seed: Binding,
     max_branches: usize,
-) {
-    let seed = branches[0].clone();
-    branches.clear();
+) -> Vec<Binding> {
+    let mut branches = Vec::new();
     let mut work = vec![(seed, vec![(pat, t)])];
-    while let Some((subst, mut goals)) = work.pop() {
+    while let Some((mut b, mut goals)) = work.pop() {
         if branches.len() + work.len() > max_branches {
             break;
         }
         let Some((p, g)) = goals.pop() else {
-            branches.push(subst);
+            branches.push(b);
             continue;
         };
-        // bound variable: bind to the ground term (class-respecting)
-        if let Term::Var { version, sort, .. } = arena.term(p) {
-            if *version == BOUND_VERSION {
-                if arena.sort(g) != *sort {
-                    continue;
-                }
-                match subst.get(&p) {
-                    Some(&existing) => {
-                        let same = existing == g
-                            || root_of
-                                .get(&existing)
-                                .is_some_and(|r1| root_of.get(&g).is_some_and(|r2| r1 == r2));
-                        if same {
-                            work.push((subst, goals));
-                        }
-                    }
-                    None => {
-                        let mut s2 = subst;
-                        s2.insert(p, g);
-                        work.push((s2, goals));
-                    }
-                }
+        // ground pattern subterm: require same class (or identity)
+        if arena.is_ground(p) {
+            if classes.same(p, g) {
+                work.push((b, goals));
+            }
+            continue;
+        }
+        // pattern variable: bind to the ground term (class-respecting)
+        if let Some(slot) = ax.slot(p) {
+            if arena.sort(g) != arena.sort(p) {
                 continue;
             }
-        }
-        // ground pattern subterm: require same class (or identity)
-        if is_ground_pat(arena, p) {
-            let same = p == g
-                || root_of
-                    .get(&p)
-                    .is_some_and(|r1| root_of.get(&g).is_some_and(|r2| r1 == r2));
-            if same {
-                work.push((subst, goals));
+            match b[slot] {
+                Some(existing) if !classes.same(existing, g) => {}
+                Some(_) => work.push((b, goals)),
+                None => {
+                    b[slot] = Some(g);
+                    work.push((b, goals));
+                }
             }
             continue;
         }
         // structural: try every member of g's class with the right shape
-        let candidates: Vec<TermId> = match root_of.get(&g) {
-            Some(root) => members.get(root).cloned().unwrap_or_default(),
-            None => vec![g],
+        let candidates = match classes.root_of.get(&g) {
+            Some(root) => classes.members[root].as_slice(),
+            None => std::slice::from_ref(&g),
         };
-        for cand in candidates {
+        for &cand in candidates {
             if let Some(child_goals) = shape_match(arena, p, cand) {
                 let mut g2 = goals.clone();
                 g2.extend(child_goals);
-                work.push((subst.clone(), g2));
+                work.push((b.clone(), g2));
             }
         }
     }
-}
-
-fn is_ground_pat(arena: &TermArena, p: TermId) -> bool {
-    let mut subs = HashSet::new();
-    collect_subterms(arena, p, &mut subs);
-    !subs
-        .iter()
-        .any(|&s| matches!(arena.term(s), Term::Var { version, .. } if *version == BOUND_VERSION))
+    branches
 }
 
 /// If `p`'s head operator matches `cand`'s, returns the child goals.
@@ -253,43 +232,61 @@ fn shape_match(arena: &TermArena, p: TermId, cand: TermId) -> Option<Vec<(TermId
     }
 }
 
-/// Chooses trigger patterns (shared with the syntactic instantiator):
-/// the smallest application subterm covering all bound variables, else a
-/// greedy set.
-fn select_triggers(arena: &TermArena, body: TermId, bound: &[(TermId, Sort)]) -> Vec<TermId> {
-    let mut subs = HashSet::new();
-    collect_subterms(arena, body, &mut subs);
-    let bound_set: HashSet<TermId> = bound.iter().map(|&(v, _)| v).collect();
-    let mut candidates: Vec<(TermId, HashSet<TermId>, usize)> = Vec::new();
-    for &s in &subs {
-        if !matches!(arena.term(s), Term::App(..) | Term::Sel(..) | Term::Upd(..)) {
-            continue;
-        }
-        let mut inner = HashSet::new();
-        collect_subterms(arena, s, &mut inner);
-        let vars: HashSet<TermId> = inner.intersection(&bound_set).copied().collect();
-        if vars.is_empty() {
-            continue;
-        }
-        candidates.push((s, vars, inner.len()));
+#[cfg(test)]
+mod tests {
+    use pins_logic::Sort;
+
+    use super::*;
+
+    #[test]
+    fn fires_when_only_a_non_representative_member_has_the_head() {
+        // forall x. f(x) >= x, against the class {v, f(w)}: its
+        // representative is v (the older term), which has no head at all
+        let mut arena = TermArena::new();
+        let v = {
+            let s = arena.sym("v");
+            arena.mk_var(s, 0, Sort::Int)
+        };
+        let f = arena.declare_fun("f", vec![Sort::Int], Sort::Int);
+        let x = arena.sym("x");
+        let bx = arena.mk_bound(x, Sort::Int);
+        let fx = arena.mk_app(f, vec![bx]);
+        let body = arena.mk_ge(fx, bx);
+        let ax = arena.mk_forall(vec![(x, Sort::Int)], body);
+        let w = {
+            let s = arena.sym("w");
+            arena.mk_var(s, 0, Sort::Int)
+        };
+        let fw = arena.mk_app(f, vec![w]);
+        assert!(v < fw, "v must represent the class");
+
+        let mut euf = Euf::new();
+        let (nv, nfw) = (euf.add_term(&arena, v), euf.add_term(&arena, fw));
+        euf.merge(nv, nfw, 0);
+        euf.close();
+        let axioms = CompiledAxioms::compile(&arena, &[ax]);
+        let mut done = HashSet::new();
+        let out = ematch_round(
+            &mut arena,
+            &euf,
+            &axioms,
+            &mut done,
+            0,
+            EmatchConfig::default(),
+            &Budget::unlimited(),
+        );
+        let expected = arena.mk_ge(fw, w);
+        assert_eq!(out, [expected]);
+        // a second round has nothing new
+        let again = ematch_round(
+            &mut arena,
+            &euf,
+            &axioms,
+            &mut done,
+            1,
+            EmatchConfig::default(),
+            &Budget::unlimited(),
+        );
+        assert!(again.is_empty());
     }
-    // term id as tie-break: equal-size candidates arrive in hash-set order
-    candidates.sort_by_key(|&(t, _, size)| (size, t));
-    for (s, vars, _) in &candidates {
-        if vars.len() == bound_set.len() {
-            return vec![*s];
-        }
-    }
-    let mut chosen = Vec::new();
-    let mut covered: HashSet<TermId> = HashSet::new();
-    for (s, vars, _) in &candidates {
-        if !vars.is_subset(&covered) {
-            chosen.push(*s);
-            covered.extend(vars.iter().copied());
-            if covered.len() == bound_set.len() {
-                return chosen;
-            }
-        }
-    }
-    Vec::new()
 }

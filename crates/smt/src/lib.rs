@@ -68,6 +68,7 @@ pub mod session;
 mod simplex;
 mod solver;
 mod theory;
+mod trigger;
 
 pub use ematch::{ematch_round, EmatchConfig};
 pub use euf::Euf;
@@ -82,6 +83,7 @@ pub use session::{
 };
 pub use simplex::Lia;
 pub use solver::{Smt, SmtConfig, SmtResult, SmtStats, TrackedCore};
+pub use trigger::CompiledAxioms;
 
 #[cfg(test)]
 mod tests;

@@ -12,7 +12,8 @@ pub struct Prepped {
     /// Ground boolean structure to hand to the CNF encoder.
     pub ground: Vec<TermId>,
     /// Universally quantified facts found in positive positions; they are
-    /// grounded by e-matching instantiation (see [`crate::inst`]).
+    /// grounded by trigger-based instantiation (see
+    /// [`instantiate`](crate::instantiate)).
     pub axioms: Vec<TermId>,
 }
 

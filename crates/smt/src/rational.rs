@@ -8,6 +8,12 @@
 //! (`+`, `-`, `*`, `/`) remain panicking conveniences for contexts where
 //! overflow would indicate a bug rather than a data-dependent condition.
 //! Comparison (`Ord`) is total and overflow-free.
+//!
+//! Simplex values are almost always integers, so construction, addition,
+//! multiplication and comparison take an integer fast path when every
+//! denominator involved is 1: plain checked `i128` arithmetic, with no GCD
+//! and no `u128` division. The fast path returns exactly what the general
+//! path would, `None` on overflow included.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -67,6 +73,9 @@ impl Rat {
     /// when the normalised representation is out of `i128` range (e.g.
     /// `i128::MIN / -1` territory).
     pub fn checked_new(num: i128, den: i128) -> Option<Rat> {
+        if den == 1 {
+            return Some(Rat { num, den });
+        }
         if den == 0 {
             return None;
         }
@@ -160,6 +169,9 @@ impl Rat {
 
     /// Checked addition.
     pub fn checked_add(self, rhs: Rat) -> Option<Rat> {
+        if self.den == 1 && rhs.den == 1 {
+            return self.num.checked_add(rhs.num).map(Rat::from_int128);
+        }
         let a = self.num.checked_mul(rhs.den)?;
         let b = rhs.num.checked_mul(self.den)?;
         let num = a.checked_add(b)?;
@@ -174,6 +186,9 @@ impl Rat {
 
     /// Checked multiplication (cross-reduced to keep magnitudes small).
     pub fn checked_mul(self, rhs: Rat) -> Option<Rat> {
+        if self.den == 1 && rhs.den == 1 {
+            return self.num.checked_mul(rhs.num).map(Rat::from_int128);
+        }
         let g1 = gcd_mag(self.num.unsigned_abs(), rhs.den.unsigned_abs()).max(1) as i128;
         let g2 = gcd_mag(rhs.num.unsigned_abs(), self.den.unsigned_abs()).max(1) as i128;
         let num = (self.num / g1).checked_mul(rhs.num / g2)?;
@@ -267,6 +282,9 @@ fn cmp_frac_mag(a: u128, b: u128, c: u128, d: u128) -> Ordering {
 
 impl Ord for Rat {
     fn cmp(&self, other: &Rat) -> Ordering {
+        if self.den == 1 && other.den == 1 {
+            return self.num.cmp(&other.num);
+        }
         match (self.num >= 0, other.num >= 0) {
             (true, false) => Ordering::Greater,
             (false, true) => Ordering::Less,
@@ -403,6 +421,167 @@ mod tests {
             Some(Rat::new(5, 6))
         );
         assert_eq!(max.checked_sub(max), Some(Rat::ZERO));
+    }
+
+    /// The general path — GCD normalisation and cross-multiplication, as
+    /// `Rat` computes whenever a denominator is not 1 — over raw parts.
+    mod general {
+        use super::super::{gcd_mag, to_signed};
+
+        pub fn new(num: i128, den: i128) -> Option<(i128, i128)> {
+            if den == 0 {
+                return None;
+            }
+            if num == 0 {
+                return Some((0, 1));
+            }
+            let negative = (num < 0) != (den < 0);
+            let (nm, dm) = (num.unsigned_abs(), den.unsigned_abs());
+            let g = gcd_mag(nm, dm);
+            Some((to_signed(nm / g, negative)?, to_signed(dm / g, false)?))
+        }
+
+        pub fn add((a, b): (i128, i128), (c, d): (i128, i128)) -> Option<(i128, i128)> {
+            new(
+                a.checked_mul(d)?.checked_add(c.checked_mul(b)?)?,
+                b.checked_mul(d)?,
+            )
+        }
+
+        pub fn mul((a, b): (i128, i128), (c, d): (i128, i128)) -> Option<(i128, i128)> {
+            let g1 = gcd_mag(a.unsigned_abs(), d.unsigned_abs()).max(1) as i128;
+            let g2 = gcd_mag(c.unsigned_abs(), b.unsigned_abs()).max(1) as i128;
+            new((a / g1).checked_mul(c / g2)?, (b / g2).checked_mul(d / g1)?)
+        }
+    }
+
+    /// `|a| * |b|` as a 256-bit `(high, low)` pair.
+    fn mul_wide(a: u128, b: u128) -> (u128, u128) {
+        const LO: u128 = u64::MAX as u128;
+        let (a1, a0, b1, b0) = (a >> 64, a & LO, b >> 64, b & LO);
+        let (p00, p01, p10, p11) = (a0 * b0, a0 * b1, a1 * b0, a1 * b1);
+        let mid = (p00 >> 64) + (p01 & LO) + (p10 & LO);
+        (
+            p11 + (p01 >> 64) + (p10 >> 64) + (mid >> 64),
+            (p00 & LO) | (mid << 64),
+        )
+    }
+
+    /// `a * b` as a signed 256-bit value, for exact comparison.
+    fn wide(a: i128, b: i128) -> (bool, u128, u128) {
+        let (hi, lo) = mul_wide(a.unsigned_abs(), b.unsigned_abs());
+        ((a < 0) != (b < 0) && (hi, lo) != (0, 0), hi, lo)
+    }
+
+    /// Exact order of `x` and `y` by 256-bit cross-multiplication.
+    fn wide_cmp(x: Rat, y: Rat) -> Ordering {
+        let (xn, xh, xl) = wide(x.num(), y.den());
+        let (yn, yh, yl) = wide(y.num(), x.den());
+        match (xn, yn) {
+            (false, true) => Ordering::Greater,
+            (true, false) => Ordering::Less,
+            (false, false) => (xh, xl).cmp(&(yh, yl)),
+            (true, true) => (yh, yl).cmp(&(xh, xl)),
+        }
+    }
+
+    /// `a + b` as a sign and 256-bit magnitude.
+    fn wide_add(a: i128, b: i128) -> (bool, u128, u128) {
+        let (ma, mb) = (a.unsigned_abs(), b.unsigned_abs());
+        if (a < 0) == (b < 0) {
+            let (lo, carry) = ma.overflowing_add(mb);
+            (a < 0, carry as u128, lo)
+        } else if ma >= mb {
+            (a < 0 && ma != mb, 0, ma - mb)
+        } else {
+            (b < 0, 0, mb - ma)
+        }
+    }
+
+    /// Whether a sign and 256-bit magnitude fit in `i128`.
+    fn fits(negative: bool, hi: u128, lo: u128) -> bool {
+        hi == 0 && (lo <= i128::MAX as u128 || (negative && lo == i128::MIN.unsigned_abs()))
+    }
+
+    const EDGES: [i128; 16] = [
+        0,
+        1,
+        -1,
+        2,
+        -3,
+        7,
+        1 << 64,
+        -(1 << 64),
+        i128::MAX,
+        i128::MAX - 1,
+        i128::MAX / 2,
+        i128::MIN,
+        i128::MIN + 1,
+        i128::MIN / 2,
+        (i128::MAX / 2) + 1,
+        i128::MIN / 2 - 1,
+    ];
+
+    /// Every edge numerator over denominators 1 (the fast path) and not 1.
+    fn grid() -> Vec<Rat> {
+        let mut out = Vec::new();
+        for &n in &EDGES {
+            for d in [1, 2, 3, 6, i128::MAX] {
+                out.extend(Rat::checked_new(n, d));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn integer_fast_path_agrees_with_the_general_path_and_exact_arithmetic() {
+        for &n in &EDGES {
+            for d in [1, -1, 2, -2, 3, 0, i128::MAX, i128::MIN] {
+                let got = Rat::checked_new(n, d).map(|r| (r.num(), r.den()));
+                assert_eq!(got, general::new(n, d), "new({n}, {d})");
+            }
+        }
+        let rats = grid();
+        for &x in &rats {
+            for &y in &rats {
+                let (xp, yp) = ((x.num(), x.den()), (y.num(), y.den()));
+                let parts = |r: Option<Rat>| r.map(|r| (r.num(), r.den()));
+                assert_eq!(parts(x.checked_add(y)), general::add(xp, yp), "{x} + {y}");
+                assert_eq!(parts(x.checked_mul(y)), general::mul(xp, yp), "{x} * {y}");
+                assert_eq!(x.cmp(&y), wide_cmp(x, y), "{x} <=> {y}");
+                if x.is_integer() && y.is_integer() {
+                    // the exact product is representable iff the fast
+                    // path returns it
+                    let (neg, hi, lo) = wide(x.num(), y.num());
+                    assert_eq!(x.checked_mul(y).is_some(), fits(neg, hi, lo), "{x} * {y}");
+                    let (neg, hi, lo) = wide_add(x.num(), y.num());
+                    assert_eq!(x.checked_add(y).is_some(), fits(neg, hi, lo), "{x} + {y}");
+                }
+            }
+        }
+        // the ±1 overflow edges at the i128 bounds
+        let (max, min) = (Rat::from_int128(i128::MAX), Rat::from_int128(i128::MIN));
+        assert_eq!(max.checked_add(Rat::ONE), None);
+        assert_eq!(
+            max.checked_add(-Rat::ONE),
+            Some(Rat::from_int128(i128::MAX - 1))
+        );
+        assert_eq!(min.checked_add(-Rat::ONE), None);
+        assert_eq!(
+            min.checked_add(Rat::ONE),
+            Some(Rat::from_int128(i128::MIN + 1))
+        );
+        assert_eq!(min.checked_add(max), Some(-Rat::ONE));
+        assert_eq!(min.checked_mul(-Rat::ONE), None);
+        assert_eq!(
+            max.checked_mul(-Rat::ONE),
+            Some(Rat::from_int128(-i128::MAX))
+        );
+        assert_eq!(min.checked_mul(Rat::ONE), Some(min));
+        assert_eq!(min.checked_sub(Rat::ONE), None);
+        assert_eq!(max.checked_sub(-Rat::ONE), None);
+        assert!(min < Rat::from_int128(i128::MIN + 1));
+        assert!(max > Rat::from_int128(i128::MAX - 1));
     }
 
     #[test]

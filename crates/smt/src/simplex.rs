@@ -114,7 +114,7 @@ fn remove_row(col: &mut Vec<usize>, row: usize) {
 /// for violations, and each variable keeps the list of rows it occurs in,
 /// so a pivot touches only the rows that mention the entering variable.
 ///
-/// Bound assertions and checks return [`Conflict`]s: either infeasibility
+/// Bound assertions and checks return a `Conflict`: either infeasibility
 /// *explanations* (sets of reason tags whose bounds are jointly
 /// integer-infeasible) or an early stop.
 #[derive(Debug, Default)]

@@ -20,6 +20,7 @@ use crate::prep::{preprocess, Prepped};
 use crate::rational::Rat;
 use crate::simplex::Lia;
 use crate::theory::{TheoryState, TheoryTimes};
+use crate::trigger::CompiledAxioms;
 
 /// Solver configuration knobs.
 #[derive(Debug, Clone, Copy)]
@@ -119,9 +120,11 @@ pub struct SmtStats {
     pub instances: u64,
     /// Final SAT formula size (vars + literal occurrences).
     pub formula_size: usize,
-    /// Time in CNF preparation: quantifier grounding, preprocessing and
-    /// Tseitin encoding of the asserted formulas.
+    /// Time in CNF preparation: preprocessing of the instances, Tseitin
+    /// encoding of the asserted formulas and theory atom compilation.
     pub prep_time: Duration,
+    /// Time in upfront quantifier instantiation ([`instantiate`](crate::instantiate)).
+    pub inst_time: Duration,
     /// Time inside the SAT core across all rounds, theory hooks excluded.
     pub sat_time: Duration,
     /// Time in the EUF engine (asserting equalities, congruence closure,
@@ -170,7 +173,8 @@ pub struct Smt {
     /// Ground roots to assert, each with the provenance id of the tracked
     /// assert it came from (`None` = hard, untracked).
     ground: Vec<(TermId, Option<u32>)>,
-    axioms: Vec<TermId>,
+    /// Quantified axioms, compiled once as they are asserted.
+    axioms: CompiledAxioms,
     /// Selector literals guarding tracked roots, in first-use order.
     selectors: Vec<(u32, Lit)>,
     /// Tracked asserts that lifted quantified axioms during preprocessing:
@@ -201,7 +205,7 @@ impl Smt {
             atom_var: HashMap::new(),
             var_atoms: Vec::new(),
             ground: Vec::new(),
-            axioms: Vec::new(),
+            axioms: CompiledAxioms::default(),
             selectors: Vec::new(),
             forced_core: Vec::new(),
             last_core: None,
@@ -254,7 +258,9 @@ impl Smt {
         }
         self.ground
             .extend(prep.ground.into_iter().map(|g| (g, prov)));
-        self.axioms.extend(prep.axioms);
+        for ax in prep.axioms {
+            self.axioms.push(arena, ax);
+        }
     }
 
     /// The unsat core of the most recent `Unsat` answer from
@@ -463,6 +469,7 @@ impl Smt {
             let us = |now: Duration, then: Duration| now.saturating_sub(then).as_micros() as u64;
             let (now, then) = (&self.stats, &before);
             span.record_u64("prep_us", us(now.prep_time, then.prep_time));
+            span.record_u64("inst_us", us(now.inst_time, then.inst_time));
             span.record_u64("sat_us", us(now.sat_time, then.sat_time));
             span.record_u64("euf_us", us(now.euf_time, then.euf_time));
             span.record_u64("lia_us", us(now.lia_time, then.lia_time));
@@ -475,18 +482,19 @@ impl Smt {
         self.sat.set_budget(budget.clone());
         self.last_core = None;
         // ground the axioms against the asserted formulas
-        let t_prep = Instant::now();
+        let t_inst = Instant::now();
         let roots = self.ground.clone();
         let root_terms: Vec<TermId> = roots.iter().map(|&(g, _)| g).collect();
         let out = instantiate(arena, &self.axioms, &root_terms, self.config.inst, budget);
+        self.stats.inst_time += t_inst.elapsed();
         if out.truncated {
             self.exact = false;
         }
         if let Some(reason) = out.stopped {
-            self.stats.prep_time += t_prep.elapsed();
             self.stats.formula_size = self.sat.formula_size();
             return SmtResult::Unknown(reason);
         }
+        let t_prep = Instant::now();
         self.stats.instances = out.instances.len() as u64;
         let mut to_assert = roots;
         for inst in out.instances {
@@ -661,11 +669,10 @@ impl Smt {
         // ---- congruence-aware axiom instantiation ---------------------------
         if !self.axioms.is_empty() && self.ematch_count < self.config.inst.max_instances {
             let t_ematch = Instant::now();
-            let axioms = self.axioms.clone();
             let new_instances = ematch_round(
                 arena,
                 &th.euf,
-                &axioms,
+                &self.axioms,
                 &mut self.ematch_done,
                 self.ematch_count,
                 EmatchConfig {

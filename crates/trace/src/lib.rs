@@ -12,7 +12,7 @@
 //!   layer declares its cells in one [`counter_table!`], which generates
 //!   the `Counter` handles its hot paths bump and its typed view
 //!   (`SessionStats`, `SolveStats`, ...); `PinsStats` composes those views.
-//! * **[`span`]** — RAII spans with monotonic timing and per-thread span
+//! * **[`span`](mod@span)** — RAII spans with monotonic timing and per-thread span
 //!   stacks, so events emitted from another thread are attributed to that
 //!   thread's own open span rather than whatever the main thread is doing.
 //! * **[`Recorder`]** — a thread-safe structured-event sink. Events go to

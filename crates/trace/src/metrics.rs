@@ -3,11 +3,12 @@
 //!
 //! Every layer binds cheap [`Counter`] handles to the run's
 //! [`MetricsRegistry`] and bumps them *at event time*; nothing else holds
-//! a count. Each layer declares its cells once, in a [`counter_table!`]:
-//! the table generates both the struct of handles its hot paths bump and
-//! the typed view (`SessionStats` in `pins-smt`, `SolveStats` in
-//! `pins-core`, ...) read back from those handles or from the registry by
-//! name. A counter therefore has one key and one write per event.
+//! a count. Each layer declares its cells once, in a
+//! [`counter_table!`](crate::counter_table): the table generates both the
+//! struct of handles its hot paths bump and the typed view (`SessionStats`
+//! in `pins-smt`, `SolveStats` in `pins-core`, ...) read back from those
+//! handles or from the registry by name. A counter therefore has one key
+//! and one write per event.
 //!
 //! Durations are stored as nanoseconds in ordinary counters under the same
 //! namespace (`phase.symexec`, `phase.sat`, ...); [`MetricsRegistry::add_duration`]
@@ -190,7 +191,7 @@ pub fn prefixed(prefix: &str, key: &str) -> String {
     }
 }
 
-/// How a [`counter_table!`] view field reads its cell: counts as they are,
+/// How a [`counter_table!`](crate::counter_table) view field reads its cell: counts as they are,
 /// sizes as `usize`, durations from nanoseconds.
 pub trait CounterValue {
     /// The field value of a cell holding `n`.

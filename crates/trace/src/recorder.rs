@@ -265,7 +265,7 @@ impl Recorder {
         Ok(Recorder::jsonl(Box::new(BufWriter::new(f))))
     }
 
-    /// Emits one event. Normally called through [`span`](crate::span) /
+    /// Emits one event. Normally called through [`span`](fn@crate::span) /
     /// [`count`] / [`point`], which fill in attribution.
     pub fn emit(
         &self,
