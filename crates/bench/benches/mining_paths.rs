@@ -19,11 +19,10 @@ fn main() {
         let mut ctx = SymCtx::new(&session.composed);
         let cfg = ExploreConfig {
             max_unroll: 2,
-            check_feasibility: false,
             max_steps: 10_000_000,
             ..ExploreConfig::default()
         };
-        let mut ex = Explorer::new(&session.composed, cfg);
+        let mut ex = Explorer::new(&session.composed, cfg, None);
         let paths = ex.enumerate(&mut ctx, &EmptyFiller, 1_000_000);
         assert!(paths.len() > 50);
     });

@@ -13,10 +13,9 @@ fn main() {
     let cfg = ExploreConfig {
         max_unroll: 3,
         max_steps: 50_000_000,
-        check_feasibility: false,
         ..ExploreConfig::default()
     };
-    let mut ex = Explorer::new(&session.composed, cfg);
+    let mut ex = Explorer::new(&session.composed, cfg, None);
     let paths = ex.enumerate(&mut ctx, &EmptyFiller, 1_000_000);
     println!(
         "run-length composition, every loop bounded to 3 unrollings: {} syntactic paths",

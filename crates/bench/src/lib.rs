@@ -201,19 +201,16 @@ pub fn run_pins_with(
     } else if args.fast {
         config.time_budget = Some(Duration::from_secs(60));
     }
-    // per-query solver budgets apply to both the verification session and
-    // the symbolic executor's feasibility session
+    // per-query solver budgets: `config.smt` configures the verification
+    // session and the symbolic executor's feasibility session alike
     if let Some(ms) = args.query_ms {
         config.smt.time_limit = Some(Duration::from_millis(ms));
-        config.explore.smt.time_limit = Some(Duration::from_millis(ms));
     }
     if let Some(steps) = args.query_steps {
         config.smt.step_limit = Some(steps);
-        config.explore.smt.step_limit = Some(steps);
     }
     if args.no_retry {
         config.smt.retry_unknown = false;
-        config.explore.smt.retry_unknown = false;
     }
     let budget = pins_budget::Budget::with_limits(config.time_budget, None);
     Pins::new(config).run_with(&mut session, budget, metrics)

@@ -135,18 +135,15 @@ fn check_inverse_inner(session: &Session, inverse: &Program, config: &BmcConfig)
         max_unroll: config.unroll,
         max_steps: 10_000_000,
         exit_first: true,
-        check_feasibility: false, // feasibility is part of each validity check
-        axioms: axioms.clone(),
-        smt: config.smt,
     };
     let budget = Budget::with_limits(config.time_budget, None);
-    // all BMC solver traffic (unrolling feasibility + discharge) is
-    // attributed to the inverse under check, phase `bmc`
+    // all BMC solver traffic is attributed to the inverse under check,
+    // phase `bmc`
     let prov = pins_trace::ProvenanceCtx::new(&inverse.name);
     let _phase = prov.enter_phase(pins_trace::Phase::Bmc);
-    let mut explorer = Explorer::new(&composed, explore);
+    // unrolled syntactically: feasibility is part of each validity check
+    let mut explorer = Explorer::new(&composed, explore, None);
     explorer.set_budget(budget.clone());
-    explorer.set_provenance(prov.clone());
     let paths = {
         let mut unroll_span = pins_trace::span("bmc.unroll");
         let paths = explorer.enumerate(&mut ctx, &EmptyFiller, config.max_paths);

@@ -101,10 +101,9 @@ pub fn terminate_constraints(
         body_prog.body = body;
         let cfg = ExploreConfig {
             max_unroll: 0, // inner loops take the exit branch only
-            check_feasibility: false,
             ..ExploreConfig::default()
         };
-        let mut explorer = Explorer::new(&body_prog, cfg);
+        let mut explorer = Explorer::new(&body_prog, cfg, None);
         let paths = explorer.enumerate(ctx, &EmptyFiller, 256);
         for path in paths {
             let rank_v =

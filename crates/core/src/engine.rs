@@ -1,13 +1,14 @@
 //! Algorithm 1: the PINS main loop.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pins_budget::Budget;
 use pins_ir::{Expr, Pred, Program, Stmt, Value};
 use pins_logic::TermId;
 use pins_prng::SplitMix64;
-use pins_smt::{SessionStats, SmtConfig, SmtResult, SmtSession};
+use pins_smt::{QueryCache, SessionStats, SmtConfig, SmtResult, SmtSession};
 use pins_symexec::{apply_filler_term, ExploreConfig, Explorer, MapFiller, PathResult, SymCtx};
 use pins_trace::{MetricsRegistry, Phase, ProvenanceCtx};
 
@@ -46,7 +47,7 @@ pub struct PinsConfig {
     /// perfbench's `parallel` workload deletes it.
     #[deprecated(note = "constraint verification is serial; this field is ignored")]
     pub verify_workers: usize,
-    /// Optional wall-clock budget.
+    /// Optional wall-clock budget, layered over the caller's [`Budget`].
     pub time_budget: Option<Duration>,
 }
 
@@ -279,10 +280,7 @@ impl Pins {
     /// candidate; [`PinsError::BudgetExhausted`] when iteration or time
     /// budgets run out before any candidate survives.
     pub fn run(&self, session: &mut Session) -> Result<PinsOutcome, PinsError> {
-        // the engine-level time budget becomes the root of the shared budget
-        // tree, so SAT, simplex, instantiation, and exploration all observe
-        // the same deadline instead of only the between-iteration check
-        self.run_with_budget(session, Budget::with_limits(self.config.time_budget, None))
+        self.run_with_budget(session, Budget::unlimited())
     }
 
     /// Runs Algorithm 1 under an externally owned [`Budget`]: cancelling the
@@ -300,6 +298,11 @@ impl Pins {
     /// Runs Algorithm 1 routing every subsystem counter and phase duration
     /// through a caller-owned [`MetricsRegistry`].
     ///
+    /// [`PinsConfig::time_budget`] is layered over `budget` as a child, so
+    /// SAT, simplex, instantiation and exploration all observe the one
+    /// deadline. Each run owns its query cache: a run in a process that ran
+    /// others before it repeats their counts exactly.
+    ///
     /// The registry also covers *failed* runs: on `Err` it still holds
     /// everything recorded up to the stop, and [`PinsStats::from_registry`]
     /// reads the Table-4 view from it. Passing the same registry to several
@@ -313,6 +316,7 @@ impl Pins {
         let mut span = pins_trace::span("pins.run");
         let phases = PhaseMetrics::bind(metrics);
         let t0 = Instant::now();
+        let budget = budget.child(self.config.time_budget, None);
         let result = self.run_inner(session, budget, metrics, &phases);
         phases.total.add_duration(t0.elapsed());
         if span.is_active() {
@@ -336,28 +340,39 @@ impl Pins {
 
     fn run_inner(
         &self,
-        session: &mut Session,
+        session: &Session,
         budget: Budget,
         metrics: &MetricsRegistry,
         phases: &PhaseMetrics,
     ) -> Result<PinsOutcome, PinsError> {
-        let start = Instant::now();
         let mut rng = SplitMix64::new(self.config.seed);
 
         let mut ctx = SymCtx::new(&session.composed);
         let axioms = session.axiom_terms(&mut ctx.arena);
-        // one persistent session for the whole run: it carries the library
-        // axioms, and the normalized-query cache is process-wide
-        let mut smt = SmtSession::new(self.config.smt);
-        smt.set_budget(budget.clone());
-        smt.bind_metrics(metrics, "smt");
         // one provenance context for the whole run: the loop below mutates
         // it (iteration, phase, path) and every query span reads it
         let prov = ProvenanceCtx::new(&session.original.name);
-        smt.set_provenance(prov.clone());
-        for &ax in &axioms {
-            smt.assert_axiom(ax);
-        }
+        // one query cache for the whole run, shared by its two persistent
+        // sessions: `smt` (validity, pickOne, test generation) and `feas`
+        // (symbolic execution); both carry the library axioms
+        let cache = Arc::new(QueryCache::new());
+        let open_session = |prefix: &str| {
+            let mut s = SmtSession::with_cache(self.config.smt, Arc::clone(&cache));
+            s.set_budget(budget.clone());
+            s.bind_metrics(metrics, prefix);
+            s.set_provenance(prov.clone());
+            for &ax in &axioms {
+                s.assert_axiom(ax);
+            }
+            s
+        };
+        let mut smt = open_session("smt");
+        let mut explorer = Explorer::new(
+            &session.composed,
+            self.config.explore.clone(),
+            Some(open_session("feas")),
+        );
+        explorer.set_budget(budget.clone());
         let domains = build_domains(
             session,
             DomainConfig {
@@ -384,11 +399,6 @@ impl Pins {
         loop {
             if iterations >= self.config.max_iterations {
                 return Err(PinsError::BudgetExhausted);
-            }
-            if let Some(limit) = self.config.time_budget {
-                if start.elapsed() > limit {
-                    return Err(PinsError::BudgetExhausted);
-                }
             }
             if budget.check().is_err() {
                 return Err(PinsError::BudgetExhausted);
@@ -471,21 +481,10 @@ impl Pins {
                 } else {
                     sols[idx].to_filler(&domains)
                 };
-                let mut cfg = self.config.explore.clone();
-                cfg.axioms = axioms.clone();
-                let mut explorer = Explorer::new(&session.composed, cfg);
-                explorer.set_budget(budget.clone());
-                explorer.bind_metrics(metrics, "feas");
-                explorer.set_provenance(prov.clone());
                 path = explorer.explore_one(&mut ctx, &f, &explored);
                 any_budget_hit |= explorer.budget_hit;
                 if path.is_some() {
                     break;
-                }
-                if let Some(budget) = self.config.time_budget {
-                    if start.elapsed() > budget {
-                        break;
-                    }
                 }
             }
             drop(symexec_phase);

@@ -331,10 +331,10 @@ impl Session {
     /// Composes `original` with the inverse `template` and records the
     /// template's loops.
     pub fn compose(original: Program, template: Program) -> Session {
-        let (composed, _map, loop_off) = original.concat(&template);
+        let (composed, _, _) = original.concat(&template);
         let split = original.body.len();
         let mut template_loops = Vec::new();
-        collect_template_loops(&composed.body[split..], loop_off, &mut template_loops);
+        collect_template_loops(&composed.body[split..], &mut template_loops);
         Session {
             composed,
             split,
@@ -372,18 +372,18 @@ impl Session {
     }
 }
 
-fn collect_template_loops(stmts: &[Stmt], _off: u32, out: &mut Vec<(LoopId, PHoleId)>) {
+fn collect_template_loops(stmts: &[Stmt], out: &mut Vec<(LoopId, PHoleId)>) {
     for s in stmts {
         match s {
             Stmt::While(id, guard, body) => {
                 if let Pred::Hole(h) = guard {
                     out.push((*id, *h));
                 }
-                collect_template_loops(body, _off, out);
+                collect_template_loops(body, out);
             }
             Stmt::If(_, t, e) => {
-                collect_template_loops(t, _off, out);
-                collect_template_loops(e, _off, out);
+                collect_template_loops(t, out);
+                collect_template_loops(e, out);
             }
             _ => {}
         }

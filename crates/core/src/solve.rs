@@ -166,7 +166,7 @@ fn verify_one(
     }
     // the same query `entails` asks, but with a model kept on `Sat` (a
     // cached `Sat` is solved again, so what is stored never depends on
-    // what the process-wide cache already holds)
+    // whether the verdict was cached)
     hyps.push(ctx.arena.mk_not(goal));
     match smt.check_under(&mut ctx.arena, &hyps) {
         SmtResult::Unsat => Check::Queried(true),
@@ -345,8 +345,9 @@ impl HoleSolver {
 
     /// Adds a blocking clause rejecting the restricted assignment of
     /// constraint `c` under `s` (every extension of that assignment fails
-    /// the constraint too).
-    fn block(&mut self, c: usize, s: &Solution, into_main: bool, snapshot: &mut SatSolver) {
+    /// the constraint too), to this call's snapshot and to the main formula
+    /// later calls start from.
+    fn block(&mut self, c: usize, s: &Solution, snapshot: &mut SatSolver) {
         let holes = &self.holes_of[c];
         let mut clause = Vec::new();
         for &h in &holes.exprs {
@@ -364,9 +365,7 @@ impl HoleSolver {
         // an empty clause (no holes occur in the constraint) correctly makes
         // the system unsatisfiable: the constraint fails unconditionally
         snapshot.add_clause(&clause);
-        if into_main {
-            self.sat.add_clause(&clause);
-        }
+        self.sat.add_clause(&clause);
     }
 
     /// Finds up to `m` solutions satisfying all constraints (Algorithm 1's
@@ -418,7 +417,7 @@ impl HoleSolver {
                     if let Some(c) = (0..constraints.len())
                         .find(|&c| !self.verify(ctx, session, constraints, c, &s, domains, smt))
                     {
-                        self.block(c, &s, true, &mut snapshot);
+                        self.block(c, &s, &mut snapshot);
                         continue;
                     }
                     // verified: block the exact full assignment in the

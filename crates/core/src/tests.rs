@@ -350,11 +350,7 @@ fn lu_like_session(cands: &[&str]) -> Session {
 fn safepath_of(session: &Session) -> (HoleDomains, SymCtx, Constraint) {
     let domains = build_domains(session, DomainConfig::default());
     let mut ctx = SymCtx::new(&session.composed);
-    let config = ExploreConfig {
-        check_feasibility: false,
-        ..ExploreConfig::default()
-    };
-    let path = Explorer::new(&session.composed, config)
+    let path = Explorer::new(&session.composed, ExploreConfig::default(), None)
         .explore_one(&mut ctx, &EmptyFiller, &HashSet::new())
         .expect("one path");
     let c = safepath_constraint(session, &session.spec, &mut ctx, &path);

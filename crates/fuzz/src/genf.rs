@@ -42,6 +42,7 @@ impl Default for FormulaConfig {
 
 /// A generated formula: the arena it lives in plus the asserted conjuncts
 /// and the variable terms the enumeration oracle ranges over.
+#[derive(Clone)]
 pub struct GenFormula {
     /// The arena owning every term below.
     pub arena: TermArena,

@@ -39,7 +39,8 @@ pub enum OracleKind {
     /// a satisfying assignment.
     EnumUnsat,
     /// Cached `SmtSession` verdicts must agree with recomputation and with
-    /// a fresh one-shot solver (cache-key soundness).
+    /// a fresh one-shot solver, also for a formula of a second arena queried
+    /// through the same session (cache-key soundness).
     Cache,
     /// Concrete `interp` runs vs symbolic path conditions discharged
     /// through the SMT solver: exactly one feasible path, same exit state.
@@ -255,6 +256,9 @@ fn enum_unsat(d: &mut Decisions) -> OracleOutcome {
 // 3. cache
 // ---------------------------------------------------------------------------
 
+/// Second arenas the `cache` oracle forks off its formula's.
+const CACHE_FORKS: usize = 4;
+
 fn cache_soundness(d: &mut Decisions) -> OracleOutcome {
     let mut f = gen_formula(d, FormulaConfig::default());
     let cache = Arc::new(QueryCache::new());
@@ -280,6 +284,29 @@ fn cache_soundness(d: &mut Decisions) -> OracleOutcome {
     }
     if s2.stats().cache_hits == 0 && v1.is_definitive() {
         violations.push("identical repeat query missed the cache".to_owned());
+    }
+    // second arenas through the same session: each a clone of the first
+    // (its own identity, every term id shared up to the fork), queried
+    // after the two grew by different generated conjuncts. The conjuncts
+    // can get the same term id; their cache entries must stay apart.
+    for _ in 0..CACHE_FORKS {
+        let mut g = f.clone();
+        let cf = gen_conjunct(d, &mut f, FormulaConfig::default());
+        let cg = gen_conjunct(d, &mut g, FormulaConfig::default());
+        let mut query = f.asserts.clone();
+        query.push(cf);
+        s2.verdict_under(&mut f.arena, &query);
+        g.asserts.push(cg);
+        let w = s2.verdict_under(&mut g.arena, &g.asserts);
+        let wf = Verdict::of(&solve_fresh(&mut g));
+        if !w.agrees_with(wf) {
+            violations.push(format!(
+                "session verdict {} on a second arena disagrees with fresh solver {}",
+                verdict_name(w),
+                verdict_name(wf)
+            ));
+            break;
+        }
     }
     if violations.is_empty() {
         OracleOutcome::pass(verdict_name(v1))
@@ -327,10 +354,9 @@ fn interp_vs_symexec(d: &mut Decisions) -> OracleOutcome {
         &program,
         ExploreConfig {
             max_unroll: 5,
-            check_feasibility: false,
-            smt: fuzz_smt_config(),
             ..ExploreConfig::default()
         },
+        None,
     );
     const PATH_LIMIT: usize = 128;
     let paths = explorer.enumerate(&mut ctx, &EmptyFiller, PATH_LIMIT);
@@ -348,7 +374,7 @@ fn interp_vs_symexec(d: &mut Decisions) -> OracleOutcome {
         })
         .collect();
 
-    let mut session = SmtSession::with_cache(fuzz_smt_config(), Arc::new(QueryCache::new()));
+    let mut session = SmtSession::new(fuzz_smt_config());
     let mut sat_paths = Vec::new();
     for (i, path) in paths.iter().enumerate() {
         let mut assumptions = binding.clone();
@@ -459,7 +485,7 @@ fn budget_compat(d: &mut Decisions) -> OracleOutcome {
 
 fn core_soundness(d: &mut Decisions) -> OracleOutcome {
     let mut f = gen_formula(d, FormulaConfig::default());
-    let mut session = SmtSession::with_cache(fuzz_smt_config(), Arc::new(QueryCache::new()));
+    let mut session = SmtSession::new(fuzz_smt_config());
     let v = session.verdict_under(&mut f.arena, &f.asserts);
     if !v.is_unsat() {
         return OracleOutcome::skip(verdict_name(v));
@@ -574,7 +600,7 @@ fn validity(
         .collect();
     let goal = apply_filler_term(ctx, program, goal, filler);
     query.push(ctx.arena.mk_not(goal));
-    let mut session = SmtSession::with_cache(fuzz_smt_config(), Arc::new(QueryCache::new()));
+    let mut session = SmtSession::new(fuzz_smt_config());
     match session.verdict_under(&mut ctx.arena, &query) {
         Verdict::Unsat => Some(true),
         Verdict::Sat { complete: true } => Some(false),
@@ -604,10 +630,9 @@ fn slice_exactness(d: &mut Decisions) -> OracleOutcome {
         &program,
         ExploreConfig {
             max_unroll: 3,
-            check_feasibility: false,
-            smt: fuzz_smt_config(),
             ..ExploreConfig::default()
         },
+        None,
     );
     const PATH_LIMIT: usize = 64;
     let paths = explorer.enumerate(&mut ctx, &EmptyFiller, PATH_LIMIT);
@@ -683,7 +708,7 @@ fn slice_exactness(d: &mut Decisions) -> OracleOutcome {
 fn shortcut_exactness(d: &mut Decisions) -> OracleOutcome {
     let mut f = gen_formula(d, FormulaConfig::default());
     let asserts = f.asserts.clone();
-    let mut session = SmtSession::with_cache(fuzz_smt_config(), Arc::new(QueryCache::new()));
+    let mut session = SmtSession::new(fuzz_smt_config());
     match session.check_under(&mut f.arena, &asserts) {
         SmtResult::Unsat => core_subsumption(d, &mut f, &mut session),
         SmtResult::Sat(model) => witness_replay(d, &mut f, &model),

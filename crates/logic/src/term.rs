@@ -1,4 +1,5 @@
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::sort::Sort;
 use crate::symbol::{Symbol, SymbolTable};
@@ -90,8 +91,10 @@ pub struct FunDecl {
 }
 
 /// The hash-consing arena that owns all terms and the symbol table.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct TermArena {
+    /// Process-unique identity ([`TermArena::id`]).
+    id: u64,
     terms: Vec<Term>,
     sorts: Vec<Sort>,
     /// Per term: whether no [`BOUND_VERSION`] variable occurs in it.
@@ -109,10 +112,38 @@ impl Default for TermArena {
     }
 }
 
+/// The next arena identity to hand out.
+static NEXT_ARENA_ID: AtomicU64 = AtomicU64::new(0);
+
+/// An identity no other arena of this process has. `Relaxed` suffices: the
+/// counter publishes no other data, and `fetch_add` alone keeps ids unique.
+fn fresh_arena_id() -> u64 {
+    NEXT_ARENA_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// A clone is a new arena: it gets a fresh [`id`](TermArena::id), because
+/// the two diverge as soon as either interns a term.
+impl Clone for TermArena {
+    fn clone(&self) -> Self {
+        TermArena {
+            id: fresh_arena_id(),
+            terms: self.terms.clone(),
+            sorts: self.sorts.clone(),
+            ground: self.ground.clone(),
+            intern: self.intern.clone(),
+            symbols: self.symbols.clone(),
+            fun_decls: self.fun_decls.clone(),
+            true_id: self.true_id,
+            false_id: self.false_id,
+        }
+    }
+}
+
 impl TermArena {
     /// Creates an arena pre-populated with `true` and `false`.
     pub fn new() -> Self {
         let mut arena = TermArena {
+            id: fresh_arena_id(),
             terms: Vec::new(),
             sorts: Vec::new(),
             ground: Vec::new(),
@@ -157,6 +188,12 @@ impl TermArena {
             Term::Not(a) | Term::Forall(_, a) => g(a),
             Term::App(_, kids) | Term::And(kids) | Term::Or(kids) => kids.iter().all(g),
         }
+    }
+
+    /// This arena's process-unique identity. A [`TermId`] names one term
+    /// only together with it: equal ids of two arenas are unrelated.
+    pub fn id(&self) -> u64 {
+        self.id
     }
 
     /// The structure of term `id`.

@@ -20,6 +20,18 @@ fn interning_dedupes() {
 }
 
 #[test]
+fn arenas_and_their_clones_have_distinct_identities() {
+    let (a, vx, _) = setup();
+    let b = TermArena::new();
+    let c = a.clone();
+    assert_ne!(a.id(), b.id());
+    assert_ne!(a.id(), c.id());
+    assert_ne!(b.id(), c.id());
+    // the clone keeps every term under the same id
+    assert_eq!(c.term(vx), a.term(vx));
+}
+
+#[test]
 fn add_constant_folds() {
     let (mut a, vx, _) = setup();
     let two = a.mk_int(2);

@@ -24,7 +24,8 @@
 //!
 //! The public entry point is the incremental [`SmtSession`]: persistent
 //! assertions with `push`/`pop` scopes, assumption-based checks, and a
-//! process-wide normalized-query cache (see [`session`] for the design).
+//! normalized-query cache keyed by arena and term id, which one run's
+//! sessions share and no two runs do (see [`session`] for the design).
 //! Sessions bind their counters into a shared
 //! [`MetricsRegistry`](pins_trace::MetricsRegistry) via
 //! [`SmtSession::bind_metrics`], and each solve is traced as an `smt.query`
@@ -78,8 +79,8 @@ pub use model::{Definitions, Model, Witness};
 pub use prep::{preprocess, Prepped};
 pub use rational::Rat;
 pub use session::{
-    global_cache, CacheEntry, CachedCore, CoreMember, CoreSlot, MissCause, QueryCache,
-    SessionStats, SmtSession, UnsatCore, Verdict, NEAR_MISS_DELTA,
+    CoreMember, CoreSlot, MissCause, QueryCache, SessionStats, SmtSession, UnsatCore, Verdict,
+    NEAR_MISS_DELTA,
 };
 pub use simplex::Lia;
 pub use solver::{Smt, SmtConfig, SmtResult, SmtStats, TrackedCore};

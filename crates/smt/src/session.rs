@@ -1,4 +1,4 @@
-//! A persistent, incremental solver session with a process-wide query cache.
+//! A persistent, incremental solver session with a normalized-query cache.
 //!
 //! PINS's inner loop (§2.3 of the paper) issues thousands of SMT validity
 //! queries per synthesis run, and the vast majority are repeats: the same
@@ -16,10 +16,11 @@
 //! * **assumption-based checks** ([`check_under`](SmtSession::check_under),
 //!   [`verdict_under`](SmtSession::verdict_under)): extra conjuncts for one
 //!   query only, without disturbing the persistent scope, and
-//! * a shared, process-wide **normalized-query cache** mapping a structural
-//!   fingerprint of (config, axioms, assertions ∪ assumptions) to the
-//!   verdict, plus an **unsat-core index** that answers any query containing
-//!   a known core.
+//! * a **normalized-query cache** mapping (config, axioms, assertions ∪
+//!   assumptions) to the verdict, plus an **unsat-core index** that answers
+//!   any query containing a known core. [`SmtSession::new`] gives a session
+//!   a cache of its own; [`SmtSession::with_cache`] shares one, as the
+//!   engine's sessions of one run do. Nothing is shared between runs.
 //!
 //! Every query goes through one path: count, span, shape, audit, cache
 //! lookup, core subsumption, miss classification, solve, latency. Its
@@ -28,17 +29,18 @@
 //!
 //! # Normalization and soundness
 //!
-//! Cache keys are 128-bit structural fingerprints over the term DAG that
-//! hash symbol *names* (not arena-local ids), SSA versions, and sorts, with
-//! the assertion multiset sorted and deduplicated. Two queries that denote
-//! the same conjunction therefore share a key even when issued from
-//! different [`TermArena`]s or in a different assertion order. The cache
-//! stores the *verdict*, plus the unsat core of a tracked `Unsat` as member
-//! fingerprints — never a model, since model term-ids are only meaningful
-//! in the arena that produced them. When a caller needs a model for a
-//! formula whose verdict is already cached as satisfiable, the session
-//! re-solves ([`SessionStats::sat_resolves`]); verdict-only callers
-//! (feasibility probes, validity checks) short-circuit entirely.
+//! A term is named in a cache key by its arena's identity
+//! ([`TermArena::id`]) and its hash-consed [`TermId`]. Within one arena
+//! equal ids are equal structures, so two queries that denote the same
+//! conjunction share a key whatever their assertion order: the assertion
+//! multiset is sorted and deduplicated. Terms of different arenas never
+//! share a name, so a cache shared across arenas is still sound; it just
+//! never hits across them. The cache stores the *verdict*, plus the unsat
+//! core of a tracked `Unsat` as member fingerprints — never a model. When a
+//! caller needs a model for a formula whose verdict is already cached as
+//! satisfiable, the session re-solves ([`SessionStats::sat_resolves`]);
+//! verdict-only callers (feasibility probes, validity checks) short-circuit
+//! entirely.
 //!
 //! `Unsat` verdicts from the underlying solver are always sound, and
 //! `Sat`/`Unknown` ones record their completeness, so replaying a cached
@@ -59,11 +61,11 @@
 //! slots, and adds no cache entry: the cache keeps one entry per solve.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pins_budget::{Budget, StopReason};
-use pins_logic::{Sort, SymbolTable, Term, TermArena, TermId};
+use pins_logic::{TermArena, TermId};
 use pins_trace::{Counter, Histogram, MetricsRegistry, Phase, ProvenanceCtx, PHASES};
 
 use crate::solver::{Smt, SmtConfig, SmtResult, TrackedCore};
@@ -95,109 +97,16 @@ fn mix_u64(acc: u128, v: u64) -> u128 {
     mix(acc, v as u128)
 }
 
-fn mix_str(acc: u128, s: &str) -> u128 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64; // FNV-1a over the bytes
-    for &b in s.as_bytes() {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    mix(acc, ((s.len() as u128) << 64) | h as u128)
-}
-
-fn mix_sort(acc: u128, sort: &Sort, syms: &SymbolTable) -> u128 {
-    match sort {
-        Sort::Bool => mix_u64(acc, 0x0b01),
-        Sort::Int => mix_u64(acc, 0x1217),
-        Sort::IntArray => mix_u64(acc, 0xa55a),
-        Sort::Unint(s) => mix_str(mix_u64(acc, 0x0111), syms.name(*s)),
-    }
-}
-
 /// Arbitrary distinct seed (pi's hex digits), so an empty combination is not 0.
 const FP_SEED: u128 = 0x243F_6A88_85A3_08D3_1319_8A2E_0370_7344;
 
-fn node_tag(tag: u64) -> u128 {
-    mix_u64(FP_SEED, tag)
-}
-
-/// Fingerprint of the node at `id`, assuming every child is already in `memo`.
-fn fp_node(arena: &TermArena, id: TermId, memo: &HashMap<TermId, u128>) -> u128 {
-    let syms = arena.symbols();
-    match arena.term(id) {
-        Term::IntConst(v) => mix_u64(node_tag(1), *v as u64),
-        Term::BoolConst(b) => mix_u64(node_tag(2), *b as u64),
-        Term::Var { sym, version, sort } => {
-            let h = mix_str(node_tag(3), syms.name(*sym));
-            let h = mix_u64(h, *version as u64);
-            mix_sort(h, sort, syms)
-        }
-        Term::Add(a, b) => mix(mix(node_tag(4), memo[a]), memo[b]),
-        Term::Sub(a, b) => mix(mix(node_tag(5), memo[a]), memo[b]),
-        Term::Mul(a, b) => mix(mix(node_tag(6), memo[a]), memo[b]),
-        Term::Sel(a, b) => mix(mix(node_tag(7), memo[a]), memo[b]),
-        Term::Upd(a, b, c) => mix(mix(mix(node_tag(8), memo[a]), memo[b]), memo[c]),
-        Term::App(f, args) => {
-            let mut h = mix_str(node_tag(9), syms.name(*f));
-            for a in args {
-                h = mix(h, memo[a]);
-            }
-            mix_u64(h, args.len() as u64)
-        }
-        Term::Eq(a, b) => mix(mix(node_tag(10), memo[a]), memo[b]),
-        Term::Le(a, b) => mix(mix(node_tag(11), memo[a]), memo[b]),
-        Term::Lt(a, b) => mix(mix(node_tag(12), memo[a]), memo[b]),
-        Term::Not(a) => mix(node_tag(13), memo[a]),
-        Term::And(kids) => {
-            let mut h = node_tag(14);
-            for k in kids {
-                h = mix(h, memo[k]);
-            }
-            mix_u64(h, kids.len() as u64)
-        }
-        Term::Or(kids) => {
-            let mut h = node_tag(15);
-            for k in kids {
-                h = mix(h, memo[k]);
-            }
-            mix_u64(h, kids.len() as u64)
-        }
-        Term::Ite(c, t, e) => mix(mix(mix(node_tag(16), memo[c]), memo[t]), memo[e]),
-        Term::Forall(vars, body) => {
-            let mut h = node_tag(17);
-            for (sym, sort) in vars {
-                h = mix_sort(mix_str(h, syms.name(*sym)), sort, syms);
-            }
-            mix(h, memo[body])
-        }
-        Term::Hole(occ, sort) => mix_sort(mix_u64(node_tag(18), *occ as u64), sort, syms),
-    }
-}
-
-/// Structural fingerprint of `root`, memoized over the DAG. Iterative
-/// post-order so deeply nested path conditions cannot overflow the stack.
-fn fingerprint(arena: &TermArena, root: TermId, memo: &mut HashMap<TermId, u128>) -> u128 {
-    if let Some(&h) = memo.get(&root) {
-        return h;
-    }
-    let mut stack = vec![root];
-    while let Some(&id) = stack.last() {
-        if memo.contains_key(&id) {
-            stack.pop();
-            continue;
-        }
-        let mut ready = true;
-        for k in arena.children(id) {
-            if !memo.contains_key(&k) {
-                stack.push(k);
-                ready = false;
-            }
-        }
-        if ready {
-            let h = fp_node(arena, id, memo);
-            memo.insert(id, h);
-            stack.pop();
-        }
-    }
-    memo[&root]
+/// Fingerprint of term `t`: its arena's identity and its hash-consed index,
+/// mixed. Each half of the mix is a bijection of one of the two, so two
+/// terms share a fingerprint exactly when they are the same term of the
+/// same arena; the mixing spreads them evenly over the sorted order the
+/// core index anchors on.
+fn term_fp(arena: &TermArena, t: TermId) -> u128 {
+    mix(FP_SEED, ((arena.id() as u128) << 64) | t.index() as u128)
 }
 
 // ---------------------------------------------------------------------------
@@ -266,7 +175,7 @@ impl Verdict {
 /// taxonomy. Every miss is exactly one of these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MissCause {
-    /// No structurally equal query was ever solved through this cache.
+    /// No equal query was ever solved through this cache.
     FirstSeen,
     /// The same assertion set was solved before under a *different*
     /// configuration fingerprint, and every verdict it reached there was
@@ -276,7 +185,7 @@ pub enum MissCause {
     /// and was budget-limited (`Unknown`) at least once: the miss belongs
     /// to a budget-escalation ladder (sessions retrying at doubled budgets).
     BudgetRetry,
-    /// No structural match, but some cached query differs from this one by
+    /// No equal query, but some cached query differs from this one by
     /// at most [`NEAR_MISS_DELTA`] assertions — the key smell that warm
     /// starting (ROADMAP item 1) would pay off.
     NearMiss,
@@ -303,25 +212,25 @@ pub const NEAR_MISS_DELTA: usize = 4;
 const INVERTED_CAP: usize = 8;
 
 /// The unsat core stored alongside a cached `Unsat` verdict: the member
-/// formulas' structural fingerprints (a subset of the query's normalized
-/// assertion set, so any session that hits the entry can resolve them back
-/// to its own assert indices).
+/// formulas' fingerprints (a subset of the query's normalized assertion
+/// set, so any session that hits the entry can resolve them back to its
+/// own assert indices).
 #[derive(Debug, Clone)]
-pub struct CachedCore {
-    /// Sorted structural fingerprints of the core members.
-    pub fps: Vec<u128>,
+pub(crate) struct CachedCore {
+    /// Sorted fingerprints of the core members.
+    pub(crate) fps: Vec<u128>,
     /// Whether the core came from conflict analysis rather than the
     /// all-asserts fallback over-approximation.
-    pub exact: bool,
+    pub(crate) exact: bool,
 }
 
 /// What the cache stores per normalized key.
 #[derive(Debug, Clone)]
-pub struct CacheEntry {
+pub(crate) struct CacheEntry {
     /// The model-free verdict.
-    pub verdict: Verdict,
+    pub(crate) verdict: Verdict,
     /// For `Unsat` verdicts produced with core tracking on: the core.
-    pub core: Option<Arc<CachedCore>>,
+    pub(crate) core: Option<Arc<CachedCore>>,
 }
 
 /// What one structural query looked like when it was last solved; the
@@ -352,9 +261,9 @@ fn is_sorted_subset(sub: &[u128], set: &[u128]) -> bool {
     sub.iter().all(|x| set.binary_search(x).is_ok())
 }
 
-/// A process-wide map from normalized query fingerprints to verdicts,
-/// shared by every session that opts in (all of them by default), with an
-/// index over the unsat cores of its `Unsat` entries.
+/// A map from normalized query fingerprints to verdicts, with an index over
+/// the unsat cores of its `Unsat` entries. One run owns one, shared by its
+/// sessions through [`SmtSession::with_cache`].
 ///
 /// The map is guarded by a [`Mutex`] — queries take microseconds to
 /// milliseconds, so contention on the lock is negligible next to solving.
@@ -378,17 +287,12 @@ impl QueryCache {
 
     /// Looks up a fingerprint. The entry carries the verdict plus, for
     /// tracked `Unsat` results, its core.
-    pub fn lookup(&self, key: u128) -> Option<CacheEntry> {
+    pub(crate) fn lookup(&self, key: u128) -> Option<CacheEntry> {
         self.map.lock().unwrap().get(&key).cloned()
     }
 
-    /// Records a verdict for a fingerprint (no core).
-    pub fn insert(&self, key: u128, verdict: Verdict) {
-        self.insert_entry(key, verdict, None);
-    }
-
     /// Records a verdict and (for `Unsat` with tracking) its core.
-    pub fn insert_entry(&self, key: u128, verdict: Verdict, core: Option<Arc<CachedCore>>) {
+    pub(crate) fn insert_entry(&self, key: u128, verdict: Verdict, core: Option<Arc<CachedCore>>) {
         self.map
             .lock()
             .unwrap()
@@ -431,7 +335,11 @@ impl QueryCache {
     /// Classifies why `structural_key` (with normalized assertion
     /// fingerprints `sorted_fps`) missed the cache. Returns the cause and,
     /// for near-misses, the assertion-set delta to the closest cached query.
-    pub fn classify_miss(&self, structural_key: u128, sorted_fps: &[u128]) -> (MissCause, u64) {
+    pub(crate) fn classify_miss(
+        &self,
+        structural_key: u128,
+        sorted_fps: &[u128],
+    ) -> (MissCause, u64) {
         let f = self.forensics.lock().unwrap();
         if let Some(seen) = f.structural.get(&structural_key) {
             return if seen.any_unknown {
@@ -467,7 +375,7 @@ impl QueryCache {
 
     /// Records a solved query into the forensics side-index so later misses
     /// can be classified against it.
-    pub fn note_solved(&self, structural_key: u128, sorted_fps: &[u128], verdict: Verdict) {
+    pub(crate) fn note_solved(&self, structural_key: u128, sorted_fps: &[u128], verdict: Verdict) {
         let mut f = self.forensics.lock().unwrap();
         let is_new = !f.structural.contains_key(&structural_key);
         if is_new {
@@ -503,12 +411,6 @@ impl QueryCache {
     }
 }
 
-/// The process-wide cache every [`SmtSession::new`] session shares.
-pub fn global_cache() -> &'static Arc<QueryCache> {
-    static CACHE: OnceLock<Arc<QueryCache>> = OnceLock::new();
-    CACHE.get_or_init(|| Arc::new(QueryCache::new()))
-}
-
 // ---------------------------------------------------------------------------
 // unsat cores at the session level
 // ---------------------------------------------------------------------------
@@ -522,13 +424,13 @@ pub enum CoreSlot {
     Assumption(usize),
 }
 
-/// One member of an unsat core: a position in the query plus the structural
-/// fingerprint of the formula there (stable across arenas and sessions).
+/// One member of an unsat core: a position in the query plus the
+/// fingerprint of the formula there (its arena and term id, mixed).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CoreMember {
     /// Where the formula sat in the query.
     pub slot: CoreSlot,
-    /// Structural fingerprint of the formula.
+    /// Fingerprint of the formula.
     pub fingerprint: u128,
 }
 
@@ -543,8 +445,9 @@ pub struct UnsatCore {
     /// Whether the core came from conflict analysis (`true`) or is the
     /// all-asserts fallback over-approximation (`false`).
     pub exact: bool,
-    /// Content id: a hash of the member fingerprints, stable across runs,
-    /// sessions, and arenas — what `pins-report --xray` aggregates on.
+    /// Content id: a hash of the member fingerprints, the same for the same
+    /// members of one arena, so stable within a run and across its sessions
+    /// but not across runs — what `pins-report --xray` aggregates on.
     pub id: u64,
 }
 
@@ -662,7 +565,7 @@ pins_trace::counter_table! {
         /// unsat core of its scope, not because its exact key was cached.
         core_hits: u64 = "core_hits",
         /// Model-producing checks whose verdict was cached as satisfiable and
-        /// therefore had to re-solve to recover a model for this arena.
+        /// therefore had to re-solve for a model (the cache stores none).
         sat_resolves: u64 = "sat_resolves",
         /// Budget-limited `Unknown` results retried once at doubled budgets.
         retries: u64 = "retries",
@@ -803,7 +706,7 @@ fn config_fingerprint(config: &SmtConfig) -> u128 {
 }
 
 /// A persistent solver session: scoped assertions, assumption-based checks,
-/// and a shared normalized-query cache. See the [module docs](self).
+/// and a normalized-query cache. See the [module docs](self).
 #[derive(Debug)]
 pub struct SmtSession {
     config: SmtConfig,
@@ -814,9 +717,6 @@ pub struct SmtSession {
     axioms: Vec<TermId>,
     /// Scope marks: (assertions.len(), axioms.len()) at each `push`.
     frames: Vec<(usize, usize)>,
-    /// Memoized term fingerprints, valid for the arena this session is used
-    /// with (term ids are append-only, so the memo survives arena growth).
-    fp_memo: HashMap<TermId, u128>,
     cache: Arc<QueryCache>,
     /// Shared cancellation/deadline budget every solve runs under. Not part
     /// of the cache key: it is external state (a caller-owned kill switch),
@@ -846,13 +746,13 @@ pub struct SmtSession {
 }
 
 impl SmtSession {
-    /// A session over the process-wide [`global_cache`].
+    /// A session over a cache of its own.
     pub fn new(config: SmtConfig) -> SmtSession {
-        SmtSession::with_cache(config, Arc::clone(global_cache()))
+        SmtSession::with_cache(config, Arc::new(QueryCache::new()))
     }
 
-    /// A session over an explicit cache — tests use a private cache for
-    /// isolation.
+    /// A session over `cache`, shared with the other sessions given it: the
+    /// engine's validity and feasibility sessions of one run share one.
     pub fn with_cache(config: SmtConfig, cache: Arc<QueryCache>) -> SmtSession {
         let config_fp = config_fingerprint(&config);
         SmtSession {
@@ -861,7 +761,6 @@ impl SmtSession {
             assertions: Vec::new(),
             axioms: Vec::new(),
             frames: Vec::new(),
-            fp_memo: HashMap::new(),
             cache,
             budget: Budget::unlimited(),
             metrics: SessionMetrics::default(),
@@ -978,24 +877,18 @@ impl SmtSession {
     /// assertion-then-assumption fingerprints in query order (positions
     /// double as core provenance ids); `sorted` is the deduplicated
     /// conjunction multiset the cache keys hash.
-    fn query_shape(&mut self, arena: &TermArena, assumptions: &[TermId]) -> QueryShape {
-        let mut ordered: Vec<u128> = Vec::with_capacity(self.assertions.len() + assumptions.len());
-        for i in 0..self.assertions.len() {
-            let t = self.assertions[i];
-            ordered.push(fingerprint(arena, t, &mut self.fp_memo));
-        }
-        for &t in assumptions {
-            ordered.push(fingerprint(arena, t, &mut self.fp_memo));
-        }
+    fn query_shape(&self, arena: &TermArena, assumptions: &[TermId]) -> QueryShape {
+        let ordered: Vec<u128> = self
+            .assertions
+            .iter()
+            .chain(assumptions)
+            .map(|&t| term_fp(arena, t))
+            .collect();
         // conjunction: order and multiplicity are irrelevant to the key
         let mut sorted = ordered.clone();
         sorted.sort_unstable();
         sorted.dedup();
-        let mut ax: Vec<u128> = Vec::with_capacity(self.axioms.len());
-        for i in 0..self.axioms.len() {
-            let t = self.axioms[i];
-            ax.push(fingerprint(arena, t, &mut self.fp_memo));
-        }
+        let mut ax: Vec<u128> = self.axioms.iter().map(|&t| term_fp(arena, t)).collect();
         ax.sort_unstable();
         ax.dedup();
         QueryShape {
@@ -1048,8 +941,8 @@ impl SmtSession {
         (result, core)
     }
 
-    /// The cacheable form of a tracked core: its members' structural
-    /// fingerprints, sorted and deduplicated.
+    /// The cacheable form of a tracked core: its members' fingerprints,
+    /// sorted and deduplicated.
     fn cached_core(&self, shape: &QueryShape, tracked: &TrackedCore) -> CachedCore {
         let mut fps: Vec<u128> = tracked
             .ids
@@ -1320,8 +1213,8 @@ impl SmtSession {
     /// only, producing a model on `Sat`.
     ///
     /// `Unsat`/`Unknown` verdicts short-circuit through the cache; a cached
-    /// satisfiable verdict still re-solves, because models cannot be shared
-    /// across arenas (counted in [`SessionStats::sat_resolves`]).
+    /// satisfiable verdict still re-solves, because the cache stores no
+    /// models (counted in [`SessionStats::sat_resolves`]).
     pub fn check_under(&mut self, arena: &mut TermArena, assumptions: &[TermId]) -> SmtResult {
         match self.query(arena, assumptions, true) {
             Answer::Solved(result) => result,
@@ -1385,7 +1278,7 @@ impl SmtSession {
             }
             (hit, None) => {
                 if hit.is_some() {
-                    // a cached `Sat`, solved again for a model in this arena
+                    // a cached `Sat`, solved again for its model
                     self.metrics.counters.cache_hits.inc();
                     self.metrics.counters.sat_resolves.inc();
                 } else {

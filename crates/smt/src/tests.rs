@@ -1,9 +1,7 @@
-use std::sync::Arc;
-
 use pins_logic::{Sort, TermArena, TermId};
 use pins_prng::SplitMix64;
 
-use crate::{QueryCache, SmtConfig, SmtResult, SmtSession};
+use crate::{SmtConfig, SmtResult, SmtSession};
 
 fn cases(light: usize, heavy: usize) -> usize {
     if cfg!(feature = "heavy-tests") {
@@ -27,15 +25,15 @@ fn arr_var(a: &mut TermArena, name: &str) -> TermId {
     a.mk_var(s, 0, Sort::IntArray)
 }
 
-/// One-shot check of a conjunction through a fresh session over a private
-/// cache (so tests stay independent of each other's cached verdicts).
+/// One-shot check of a conjunction through a fresh session (its cache is
+/// its own, so tests stay independent of each other's cached verdicts).
 fn check_formulas(
     arena: &mut TermArena,
     assertions: &[TermId],
     axioms: &[TermId],
     config: SmtConfig,
 ) -> SmtResult {
-    let mut session = SmtSession::with_cache(config, Arc::new(QueryCache::new()));
+    let mut session = SmtSession::new(config);
     for &ax in axioms {
         session.assert_axiom(ax);
     }
@@ -50,7 +48,7 @@ fn is_valid(
     axioms: &[TermId],
     config: SmtConfig,
 ) -> bool {
-    let mut session = SmtSession::with_cache(config, Arc::new(QueryCache::new()));
+    let mut session = SmtSession::new(config);
     for &ax in axioms {
         session.assert_axiom(ax);
     }
@@ -944,10 +942,8 @@ mod session {
     use pins_logic::{TermArena, TermId};
     use pins_prng::SplitMix64;
 
-    /// A session with a private cache, so tests neither warm nor read the
-    /// process-wide one.
     fn fresh_session() -> SmtSession {
-        SmtSession::with_cache(cfg(), Arc::new(QueryCache::new()))
+        SmtSession::new(cfg())
     }
 
     fn bounds(a: &mut TermArena, v: TermId, lo: i64, hi: i64) -> (TermId, TermId) {
@@ -1079,6 +1075,34 @@ mod session {
         assert_eq!(first.stats().cache_hits, 0);
     }
 
+    /// Term ids repeat across arenas: `x < 1 ∧ x < 2` in one arena and
+    /// `1 < x ∧ x < 2` in another get the same ids, in the same order. One
+    /// session over both must still answer each arena's own query.
+    #[test]
+    fn one_session_over_two_arenas_answers_each_arena_on_its_own() {
+        let build = |lo_first: bool| {
+            let mut a = TermArena::new();
+            let x = int_var(&mut a, "x");
+            let one = a.mk_int(1);
+            let lo = if lo_first {
+                a.mk_lt(x, one)
+            } else {
+                a.mk_lt(one, x)
+            };
+            let two = a.mk_int(2);
+            let hi = a.mk_lt(x, two);
+            (a, vec![lo, hi])
+        };
+        let (mut a, fa) = build(true); // x < 1 ∧ x < 2: satisfiable
+        let (mut b, fb) = build(false); // 1 < x < 2: no integer
+        assert_eq!(fa, fb, "the two arenas must reuse the same term ids");
+        let mut s = fresh_session();
+        assert!(s.verdict_under(&mut a, &fa).is_sat());
+        assert_eq!(s.verdict_under(&mut b, &fb), Verdict::Unsat);
+        assert_eq!(s.stats().cache_hits, 0, "{:?}", s.stats());
+        assert_eq!(fresh_session().verdict_under(&mut b, &fb), Verdict::Unsat);
+    }
+
     #[test]
     fn sat_with_model_re_solves_but_counts_the_hit() {
         let mut a = TermArena::new();
@@ -1120,13 +1144,13 @@ mod session {
     #[test]
     fn cached_verdicts_match_fresh_solves_on_random_corpus() {
         let mut rng = SplitMix64::new(0x5E55_0001);
-        let mut cached = SmtSession::with_cache(cfg(), Arc::new(QueryCache::new()));
+        let mut cached = fresh_session();
         let mut corpus: Vec<F> = Vec::new();
         for _ in 0..cases(48, 256) {
             corpus.push(super::random_f(&mut rng, 3));
         }
-        // a session's fingerprint memo is arena-local, so the whole corpus
-        // lives in one arena (hash-consing makes repeats cheap anyway)
+        // cache entries name terms by arena, so the whole corpus lives in
+        // one arena for round 2 to hit (hash-consing makes repeats cheap)
         let mut arena = TermArena::new();
         let vars: Vec<TermId> = (0..3)
             .map(|i| int_var(&mut arena, &format!("v{i}")))
@@ -1248,9 +1272,7 @@ mod session {
                 // the upgraded entry is at the ORIGINAL config's key: a new
                 // same-config session must get Unsat as a pure cache hit
                 let mut s2 = SmtSession::with_cache(config, Arc::clone(&cache));
-                let mut a2 = TermArena::new();
-                let fs2 = build(&mut a2);
-                assert!(s2.verdict_under(&mut a2, &fs2).is_unsat());
+                assert!(s2.verdict_under(&mut a, &fs).is_unsat());
                 assert_eq!(
                     s2.stats().cache_hits,
                     1,
@@ -1320,7 +1342,7 @@ mod xray {
     use pins_logic::{Sort, TermArena, TermId};
 
     fn fresh_session() -> SmtSession {
-        SmtSession::with_cache(cfg(), Arc::new(QueryCache::new()))
+        SmtSession::new(cfg())
     }
 
     /// Twenty satisfiable noise facts plus one contradictory pair: the

@@ -8,9 +8,8 @@ use std::collections::{HashMap, HashSet};
 
 use pins_budget::{Budget, StopReason};
 use pins_ir::{EHoleId, Expr, LoopId, PHoleId, Pred, Program, Stmt, VarId};
-use pins_logic::{collect_subterms, Sort, Term, TermId};
-use pins_smt::{SmtConfig, SmtSession};
-use pins_trace::MetricsRegistry;
+use pins_logic::{collect_subterms, Term, TermId};
+use pins_smt::SmtSession;
 
 use crate::ctx::{version_of, HoleKind, SymCtx, VersionMap};
 
@@ -67,12 +66,6 @@ pub struct ExploreConfig {
     pub max_steps: u64,
     /// Try the loop-exit branch before the enter branch (short paths first).
     pub exit_first: bool,
-    /// Check feasibility with the SMT solver at each assumption.
-    pub check_feasibility: bool,
-    /// Axioms passed to feasibility checks.
-    pub axioms: Vec<TermId>,
-    /// SMT configuration for feasibility checks.
-    pub smt: SmtConfig,
 }
 
 impl Default for ExploreConfig {
@@ -81,9 +74,6 @@ impl Default for ExploreConfig {
             max_unroll: 8,
             max_steps: 100_000,
             exit_first: true,
-            check_feasibility: true,
-            axioms: Vec::new(),
-            smt: SmtConfig::default(),
         }
     }
 }
@@ -136,11 +126,11 @@ pub struct Explorer<'p> {
     program: &'p Program,
     config: ExploreConfig,
     steps: u64,
-    /// Persistent solver session for feasibility queries; repeated prefixes
-    /// across backtracking hit the shared normalized-query cache.
-    session: SmtSession,
+    /// The session every feasibility query (Rule ASSUME) goes through, as
+    /// its caller configured it; `None` enumerates paths syntactically.
+    feasibility: Option<SmtSession>,
     /// Shared cancellation/deadline budget, polled periodically between
-    /// symbolic steps (feasibility queries poll it inside the solver).
+    /// symbolic steps.
     budget: Budget,
     /// Set when the last search stopped on the step budget rather than by
     /// exhausting the (bounded) path space.
@@ -154,43 +144,35 @@ pub struct Explorer<'p> {
 const BUDGET_POLL_MASK: u64 = 0x1FF;
 
 impl<'p> Explorer<'p> {
-    /// Creates an explorer over `program`.
-    pub fn new(program: &'p Program, config: ExploreConfig) -> Self {
-        let mut session = SmtSession::new(config.smt);
-        for &ax in &config.axioms {
-            session.assert_axiom(ax);
-        }
+    /// Creates an explorer over `program`. Each assumption on a path is
+    /// checked for satisfiability through `feasibility` (its axioms, budget,
+    /// counters and provenance are the caller's to set); with `None`, every
+    /// syntactic path counts as feasible.
+    pub fn new(
+        program: &'p Program,
+        config: ExploreConfig,
+        feasibility: Option<SmtSession>,
+    ) -> Self {
         Explorer {
             program,
             config,
             steps: 0,
-            session,
+            feasibility,
             budget: Budget::unlimited(),
             budget_hit: false,
             stop_reason: None,
         }
     }
 
-    /// Installs the shared budget for subsequent searches; the explorer's
-    /// solver session inherits it so feasibility queries stop too.
+    /// Installs the shared budget polled between symbolic steps of
+    /// subsequent searches. The feasibility session keeps its own.
     pub fn set_budget(&mut self, budget: Budget) {
-        self.session.set_budget(budget.clone());
         self.budget = budget;
     }
 
-    /// Binds the internal solver session's counters to `registry` under
-    /// `session_prefix` (e.g. `"feas"`), kept separate from the engine's own
-    /// `smt.*` cells. Every feasibility query is one query of that session,
-    /// so `{session_prefix}.queries` counts them.
-    pub fn bind_metrics(&mut self, registry: &MetricsRegistry, session_prefix: &str) {
-        self.session.bind_metrics(registry, session_prefix);
-    }
-
-    /// Installs the shared provenance context on the internal solver
-    /// session, so feasibility queries are attributed to the engine's
-    /// current benchmark/iteration/phase/path.
-    pub fn set_provenance(&mut self, prov: pins_trace::ProvenanceCtx) {
-        self.session.set_provenance(prov);
+    /// Feasibility queries issued so far (0 without a session).
+    fn feasibility_queries(&self) -> u64 {
+        self.feasibility.as_ref().map_or(0, |s| s.stats().queries)
     }
 
     fn initial_state(&self) -> State<'p> {
@@ -217,7 +199,7 @@ impl<'p> Explorer<'p> {
         self.budget_hit = false;
         self.stop_reason = None;
         let mut span = pins_trace::span("symexec.explore_one");
-        let queries_before = self.session.stats().queries;
+        let queries_before = self.feasibility_queries();
         let mut out = Vec::new();
         let state = self.initial_state();
         self.search(ctx, filler, avoid, state, &Mode::FindOne, &mut out);
@@ -226,7 +208,7 @@ impl<'p> Explorer<'p> {
             span.record_u64("steps", self.steps);
             span.record_u64(
                 "feasibility_queries",
-                self.session.stats().queries - queries_before,
+                self.feasibility_queries() - queries_before,
             );
             span.record("found", found.is_some());
             span.record("budget_hit", self.budget_hit);
@@ -236,8 +218,9 @@ impl<'p> Explorer<'p> {
     }
 
     /// Enumerates complete paths (bounded by `max_unroll` and `limit`),
-    /// with feasibility pruning only if configured. Used for termination
-    /// constraints, BMC unrolling, and the path-count claim of §2.4.
+    /// with feasibility pruning only if the explorer has a session. Used for
+    /// termination constraints, BMC unrolling, and the path-count claim of
+    /// §2.4.
     pub fn enumerate(
         &mut self,
         ctx: &mut SymCtx,
@@ -248,7 +231,7 @@ impl<'p> Explorer<'p> {
         self.budget_hit = false;
         self.stop_reason = None;
         let mut span = pins_trace::span("symexec.enumerate");
-        let queries_before = self.session.stats().queries;
+        let queries_before = self.feasibility_queries();
         let mut out = Vec::new();
         let avoid = HashSet::new();
         let state = self.initial_state();
@@ -264,7 +247,7 @@ impl<'p> Explorer<'p> {
             span.record_u64("steps", self.steps);
             span.record_u64(
                 "feasibility_queries",
-                self.session.stats().queries - queries_before,
+                self.feasibility_queries() - queries_before,
             );
             span.record_u64("paths", out.len() as u64);
             span.record_u64("limit", limit as u64);
@@ -274,19 +257,9 @@ impl<'p> Explorer<'p> {
     }
 
     fn feasible(&mut self, ctx: &mut SymCtx, substituted: &[TermId]) -> bool {
-        if !self.config.check_feasibility {
-            return true;
-        }
-        !self
-            .session
-            .verdict_under(&mut ctx.arena, substituted)
-            .is_unsat()
-    }
-
-    /// Substitutes hole occurrences in `t` using `filler` (the `S(p)` of
-    /// Rule ASSUME), translating candidates under each occurrence's map.
-    pub fn apply_filler(&self, ctx: &mut SymCtx, t: TermId, filler: &dyn HoleFiller) -> TermId {
-        apply_filler_term(ctx, self.program, t, filler)
+        self.feasibility
+            .as_mut()
+            .is_none_or(|s| !s.verdict_under(&mut ctx.arena, substituted).is_unsat())
     }
 
     /// Returns `true` when the search should stop (found a path in
@@ -431,7 +404,7 @@ impl<'p> Explorer<'p> {
             eqs.push(ctx.arena.mk_eq(lhs, rhs));
         }
         for eq in eqs {
-            let sub = self.apply_filler(ctx, eq, filler);
+            let sub = apply_filler_term(ctx, self.program, eq, filler);
             state.conjuncts.push(eq);
             state.substituted.push(sub);
         }
@@ -457,7 +430,7 @@ impl<'p> Explorer<'p> {
         if t == ctx.arena.mk_true() {
             return true;
         }
-        let sub = self.apply_filler(ctx, t, filler);
+        let sub = apply_filler_term(ctx, self.program, t, filler);
         if sub == ctx.arena.mk_false() {
             return false;
         }
@@ -505,9 +478,4 @@ pub fn apply_filler_term(
         }
     }
     ctx.arena.substitute(t, &map)
-}
-
-/// The sort a candidate must have to fill holes assigned to variable `v`.
-pub fn sort_for_var(ctx: &SymCtx, v: VarId) -> Sort {
-    ctx.var_sort(v)
 }

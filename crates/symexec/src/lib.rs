@@ -13,6 +13,7 @@
 //!
 //! ```
 //! use pins_ir::parse_program;
+//! use pins_smt::{SmtConfig, SmtSession};
 //! use pins_symexec::{Explorer, ExploreConfig, EmptyFiller, SymCtx};
 //! use std::collections::HashSet;
 //!
@@ -24,7 +25,8 @@
 //!      }",
 //! ).unwrap();
 //! let mut ctx = SymCtx::new(&p);
-//! let mut explorer = Explorer::new(&p, ExploreConfig::default());
+//! let feasibility = SmtSession::new(SmtConfig::default());
+//! let mut explorer = Explorer::new(&p, ExploreConfig::default(), Some(feasibility));
 //! let path = explorer
 //!     .explore_one(&mut ctx, &EmptyFiller, &HashSet::new())
 //!     .expect("some feasible path");
@@ -36,8 +38,7 @@ mod explore;
 
 pub use ctx::{sort_of, version_of, HoleKind, HoleOcc, SymCtx, VersionMap};
 pub use explore::{
-    apply_filler_term, sort_for_var, EmptyFiller, ExploreConfig, Explorer, HoleFiller, MapFiller,
-    PathResult,
+    apply_filler_term, EmptyFiller, ExploreConfig, Explorer, HoleFiller, MapFiller, PathResult,
 };
 
 #[cfg(test)]

@@ -20,11 +20,16 @@ fn sum_program() -> Program {
     parse_program(SUM).unwrap()
 }
 
+/// A feasibility session for an explorer that prunes infeasible branches.
+fn feasibility() -> Option<SmtSession> {
+    Some(SmtSession::new(SmtConfig::default()))
+}
+
 #[test]
 fn first_path_skips_the_loop() {
     let p = sum_program();
     let mut ctx = SymCtx::new(&p);
-    let mut ex = Explorer::new(&p, ExploreConfig::default());
+    let mut ex = Explorer::new(&p, ExploreConfig::default(), feasibility());
     let path = ex
         .explore_one(&mut ctx, &EmptyFiller, &HashSet::new())
         .unwrap();
@@ -44,7 +49,7 @@ fn avoid_set_forces_new_paths() {
     let mut avoid = HashSet::new();
     let mut lengths = Vec::new();
     for _ in 0..3 {
-        let mut ex = Explorer::new(&p, ExploreConfig::default());
+        let mut ex = Explorer::new(&p, ExploreConfig::default(), feasibility());
         let path = ex.explore_one(&mut ctx, &EmptyFiller, &avoid).unwrap();
         assert!(avoid.insert(path.key), "duplicate path returned");
         lengths.push(path.conjuncts.len());
@@ -63,7 +68,7 @@ fn path_condition_is_satisfiable() {
     let mut avoid = HashSet::new();
     let mut session = SmtSession::new(SmtConfig::default());
     for _ in 0..3 {
-        let mut ex = Explorer::new(&p, ExploreConfig::default());
+        let mut ex = Explorer::new(&p, ExploreConfig::default(), feasibility());
         let path = ex.explore_one(&mut ctx, &EmptyFiller, &avoid).unwrap();
         avoid.insert(path.key);
         let r = session.check_under(&mut ctx.arena, &path.conjuncts);
@@ -85,12 +90,12 @@ proc f(in n: int, out x: int) {
 "#;
     let p = parse_program(src).unwrap();
     let mut ctx = SymCtx::new(&p);
-    let mut ex = Explorer::new(&p, ExploreConfig::default());
+    let mut ex = Explorer::new(&p, ExploreConfig::default(), feasibility());
     let mut avoid = HashSet::new();
     let first = ex.explore_one(&mut ctx, &EmptyFiller, &avoid).unwrap();
     avoid.insert(first.key);
     // only the else branch is feasible: no second path exists
-    let mut ex2 = Explorer::new(&p, ExploreConfig::default());
+    let mut ex2 = Explorer::new(&p, ExploreConfig::default(), feasibility());
     assert!(ex2.explore_one(&mut ctx, &EmptyFiller, &avoid).is_none());
 }
 
@@ -101,10 +106,9 @@ fn enumerate_counts_paths() {
     let mut ctx = SymCtx::new(&p);
     let cfg = ExploreConfig {
         max_unroll: 3,
-        check_feasibility: false,
         ..ExploreConfig::default()
     };
-    let mut ex = Explorer::new(&p, cfg);
+    let mut ex = Explorer::new(&p, cfg, None);
     let paths = ex.enumerate(&mut ctx, &EmptyFiller, 1000);
     assert_eq!(paths.len(), 4);
 }
@@ -126,10 +130,9 @@ proc f(in n: int, out x: int) {
     let mut ctx = SymCtx::new(&p);
     let cfg = ExploreConfig {
         max_unroll: 2,
-        check_feasibility: false,
         ..ExploreConfig::default()
     };
-    let mut ex = Explorer::new(&p, cfg);
+    let mut ex = Explorer::new(&p, cfg, None);
     let paths = ex.enumerate(&mut ctx, &EmptyFiller, 10_000);
     // outer 0 iters: 1; outer 1: inner 0..2 = 3; outer 2: 3*3 = 9 -> 13
     // (max_unroll counts total entries per loop id on a path, so the inner
@@ -153,21 +156,11 @@ proc t(in m: int, out x: int) {
 "#;
     let p = parse_program(src).unwrap();
     let mut ctx = SymCtx::new(&p);
-    let cfg = ExploreConfig {
-        check_feasibility: false,
-        ..ExploreConfig::default()
-    };
-    let mut ex = Explorer::new(&p, cfg);
+    let mut ex = Explorer::new(&p, ExploreConfig::default(), None);
     let mut avoid = HashSet::new();
     let path1 = ex.explore_one(&mut ctx, &EmptyFiller, &avoid).unwrap();
     avoid.insert(path1.key);
-    let mut ex2 = Explorer::new(
-        &p,
-        ExploreConfig {
-            check_feasibility: false,
-            ..Default::default()
-        },
-    );
+    let mut ex2 = Explorer::new(&p, ExploreConfig::default(), None);
     let path2 = ex2.explore_one(&mut ctx, &EmptyFiller, &avoid).unwrap();
     // the predicate hole occurs under at least two different version maps
     let occs = ctx.occurrences();
@@ -205,7 +198,7 @@ proc t(in n: int, out x: int) {
         exit_first: false,
         ..ExploreConfig::default()
     };
-    let mut ex = Explorer::new(&p, cfg);
+    let mut ex = Explorer::new(&p, cfg, feasibility());
     let path = ex.explore_one(&mut ctx, &filler, &HashSet::new()).unwrap();
     // the substituted condition of the taken path must be satisfiable;
     // combined with assume(n=3), only the else branch works, whose
@@ -230,11 +223,7 @@ proc t(in n: int, out x: int) {
 "#;
     let p = parse_program(src).unwrap();
     let mut ctx = SymCtx::new(&p);
-    let cfg = ExploreConfig {
-        check_feasibility: false,
-        ..ExploreConfig::default()
-    };
-    let mut ex = Explorer::new(&p, cfg);
+    let mut ex = Explorer::new(&p, ExploreConfig::default(), None);
     let path = ex
         .explore_one(&mut ctx, &EmptyFiller, &HashSet::new())
         .unwrap();
@@ -260,7 +249,7 @@ proc t(in n: int, out x: int) {
 fn loop_entry_prefixes_recorded() {
     let p = sum_program();
     let mut ctx = SymCtx::new(&p);
-    let mut ex = Explorer::new(&p, ExploreConfig::default());
+    let mut ex = Explorer::new(&p, ExploreConfig::default(), feasibility());
     let path = ex
         .explore_one(&mut ctx, &EmptyFiller, &HashSet::new())
         .unwrap();
@@ -284,7 +273,7 @@ proc f(in n: int, out x: int) {
 "#;
     let p = parse_program(src).unwrap();
     let mut ctx = SymCtx::new(&p);
-    let mut ex = Explorer::new(&p, ExploreConfig::default());
+    let mut ex = Explorer::new(&p, ExploreConfig::default(), feasibility());
     let path = ex
         .explore_one(&mut ctx, &EmptyFiller, &HashSet::new())
         .unwrap();
@@ -302,11 +291,7 @@ proc f(out x: int) {
 "#;
     let p = parse_program(src).unwrap();
     let mut ctx = SymCtx::new(&p);
-    let cfg = ExploreConfig {
-        check_feasibility: false,
-        ..ExploreConfig::default()
-    };
-    let mut ex = Explorer::new(&p, cfg);
+    let mut ex = Explorer::new(&p, ExploreConfig::default(), None);
     let paths = ex.enumerate(&mut ctx, &EmptyFiller, 100);
     assert_eq!(paths.len(), 2);
 }

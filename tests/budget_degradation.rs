@@ -142,10 +142,9 @@ fn solve_with_poison() -> (Vec<String>, u64) {
 }
 
 /// A constraint whose verification panics is degraded to "unverified"
-/// (counted, candidate rejected) instead of aborting the search. (The
-/// parallel half of this test went with parallel verification.)
+/// (counted, candidate rejected) instead of aborting the search.
 #[test]
-fn panicking_constraint_is_isolated_in_serial_and_parallel_verification() {
+fn panicking_constraint_is_isolated_in_verification() {
     let (sols, panics) = solve_with_poison();
 
     assert!(panics >= 1, "verification must record the panic");

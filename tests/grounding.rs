@@ -4,8 +4,8 @@
 //! — a trigger matched in another order, a cap cutting elsewhere — moves
 //! these totals.
 //!
-//! One test in this binary: the recorder and the query cache are
-//! process-wide, and the totals count the checks of fresh misses.
+//! One test in this binary: the trace recorder is process-wide, so a
+//! second test running alongside would add its checks to these totals.
 
 use pins::prelude::*;
 use pins::suite::{benchmark, BenchmarkId};

@@ -1,8 +1,7 @@
 //! Integration tests for the incremental solver session: the deprecated
 //! `verify_workers` knob changes nothing, every counter reads the same from
-//! each layer's view, the process-wide query cache must actually fire on
-//! suite benchmarks, and the one-call `pins::invert` facade works end to
-//! end.
+//! each layer's view, a run repeats its counts whatever ran before it in
+//! the process, and the one-call `pins::invert` facade works end to end.
 
 use pins::core::SolveStats;
 use pins::ir::{program_to_string, run, ExternEnv, Store, Value};
@@ -34,9 +33,7 @@ fn rendered(outcome: &PinsOutcome) -> Vec<String> {
 
 /// `PinsConfig::verify_workers` is deprecated and has no effect: Σi asked
 /// for 1 and for 4 workers gives byte-identical inverses and identical
-/// counts. Both measured runs follow a priming run, so each finds every
-/// query it issues in the process-wide cache and the engine's hit/miss
-/// split is comparable between them.
+/// counts.
 #[test]
 #[allow(deprecated)]
 fn verify_workers_has_no_effect_on_sum_i() {
@@ -45,7 +42,6 @@ fn verify_workers_has_no_effect_on_sum_i() {
         config.verify_workers = workers;
         run_with(BenchmarkId::SumI, config)
     };
-    at(1);
     let one = at(1);
     let four = at(4);
     assert_eq!(rendered(&one), rendered(&four));
@@ -72,27 +68,34 @@ fn verify_workers_has_no_effect_on_sum_i() {
     assert_eq!(SolveStats::from_registry(four.metrics()).workers, 1);
 }
 
+/// Each run owns its query cache: a second Σi run in the same process
+/// repeats the first run's engine and feasibility hits and misses exactly,
+/// instead of answering from the first run's entries.
 #[test]
-fn repeated_runs_hit_the_query_cache() {
-    // the normalized-query cache is process-wide: a second identical run
-    // must be answered (at least partly) from it
+fn repeated_runs_repeat_their_cache_counts() {
+    let counts = |o: &PinsOutcome| {
+        let smt = SessionStats::from_registry(o.metrics(), "smt");
+        let feas = SessionStats::from_registry(o.metrics(), "feas");
+        [
+            smt.queries,
+            smt.cache_hits,
+            smt.cache_misses,
+            feas.queries,
+            feas.cache_hits,
+            feas.cache_misses,
+        ]
+    };
     let first = run_bench(BenchmarkId::SumI);
     let second = run_bench(BenchmarkId::SumI);
     assert_eq!(rendered(&first), rendered(&second));
-    assert!(
-        second.stats().smt_cache_hits > 0,
-        "second run saw no cache hits: {:?}",
-        second.stats()
-    );
-    assert!(second.stats().smt_cache_misses <= first.stats().smt_cache_misses);
+    assert_eq!(counts(&first), counts(&second));
 }
 
 /// Every layer's view of one run reads the same cells: the engine's
 /// Table-4 view agrees with the solver's and both sessions' views, and the
-/// engine session's hits and misses partition its queries. (The parallel
-/// half of this test went with parallel verification.)
+/// engine session's hits and misses partition its queries.
 #[test]
-fn registry_totals_match_typed_stats_in_serial_and_parallel() {
+fn registry_totals_match_typed_stats() {
     let outcome = run_bench(BenchmarkId::SumI);
     let s = outcome.stats();
     let solve = SolveStats::from_registry(outcome.metrics());
@@ -115,10 +118,9 @@ fn registry_totals_match_typed_stats_in_serial_and_parallel() {
 }
 
 /// The `smt.query_ns` histogram records one sample per query, and the
-/// per-phase cells partition the same population. (The parallel half of
-/// this test went with parallel verification.)
+/// per-phase cells partition the same population.
 #[test]
-fn query_latency_histogram_counts_every_query_across_worker_forks() {
+fn query_latency_histogram_counts_every_query() {
     let outcome = run_bench(BenchmarkId::SumI);
     let sess = SessionStats::from_registry(outcome.metrics(), "smt");
     let lat = outcome.metrics().histogram_snapshot("smt.query_ns");
@@ -133,10 +135,11 @@ fn query_latency_histogram_counts_every_query_across_worker_forks() {
 
 #[test]
 fn cache_counters_partition_queries_under_fuzz_load() {
-    // adversarial load: a few hundred fuzz-generated formulas, each queried
-    // as a growing assumption prefix, the whole batch repeated once. Every
-    // query must land in exactly one of {hit, miss} — the partition may not
-    // drift under generated (rather than benchmark-shaped) traffic.
+    // adversarial load: a few hundred fuzz-generated formulas, each in an
+    // arena of its own and queried as a growing assumption prefix, the
+    // whole batch repeated once over the same arenas. Every query must
+    // land in exactly one of {hit, miss} — the partition may not drift
+    // under generated (rather than benchmark-shaped) traffic.
     use pins::fuzz::genf::{gen_formula, FormulaConfig};
     use pins::fuzz::{fuzz_smt_config, Decisions};
     use pins::smt::QueryCache;
@@ -147,7 +150,7 @@ fn cache_counters_partition_queries_under_fuzz_load() {
     let mut session = SmtSession::with_cache(fuzz_smt_config(), Arc::clone(&cache));
     session.bind_metrics(&registry, "fuzzload");
 
-    let formulas: Vec<_> = (0..60u64)
+    let mut formulas: Vec<_> = (0..60u64)
         .map(|seed| {
             let mut d = Decisions::record(seed);
             gen_formula(&mut d, FormulaConfig::default())
@@ -156,10 +159,9 @@ fn cache_counters_partition_queries_under_fuzz_load() {
 
     let mut issued = 0u64;
     for _round in 0..2 {
-        for f in &formulas {
-            let mut arena = f.arena.clone();
+        for f in &mut formulas {
             for end in 1..=f.asserts.len() {
-                let _ = session.verdict_under(&mut arena, &f.asserts[..end]);
+                let _ = session.verdict_under(&mut f.arena, &f.asserts[..end]);
                 issued += 1;
             }
         }

@@ -4,8 +4,6 @@
 //! fire, and on real suite constraints every replayed refutation and every
 //! core hit agrees with a fresh solve.
 
-use std::sync::Arc;
-
 use pins::core::{
     build_domains, init_constraints, safepath_constraint, terminate_constraints, Constraint,
     DomainConfig, HoleDomains, Slicer, Solution, SolveStats,
@@ -13,7 +11,7 @@ use pins::core::{
 use pins::fuzz::fuzz_smt_config;
 use pins::logic::TermId;
 use pins::prelude::*;
-use pins::smt::{Definitions, Model, QueryCache, SessionStats, SmtResult, Verdict, Witness};
+use pins::smt::{Definitions, Model, SessionStats, SmtResult, Verdict, Witness};
 use pins::suite::{benchmark, BenchmarkId};
 use pins::symexec::{apply_filler_term, EmptyFiller, ExploreConfig, Explorer, MapFiller, SymCtx};
 use pins_prng::SplitMix64;
@@ -56,6 +54,9 @@ fn sum_i_keeps_its_counts_while_both_shortcuts_fire() {
     assert!(solve.replay_hits > 0, "{solve:?}");
     assert!(smt.core_hits > 0, "{smt:?}");
     assert!(smt.core_hits <= smt.cache_hits);
+    // the run owns its cache, so its split does not depend on what else
+    // ran in this process
+    assert_eq!([smt.cache_hits, smt.cache_misses], [468, 163], "{smt:?}");
     assert_eq!(smt.cache_hits + smt.cache_misses, smt.queries);
     assert_eq!(solve.cache_hits + solve.cache_misses, solve.smt_queries);
 }
@@ -86,9 +87,9 @@ fn random_filler(domains: &HoleDomains, rng: &mut SplitMix64) -> MapFiller {
     s.to_filler(domains)
 }
 
-/// The verdict of `hyps ∧ ¬goal` in a fresh session over a private cache.
+/// The verdict of `hyps ∧ ¬goal` in a fresh session.
 fn fresh(ctx: &mut SymCtx, axioms: &[TermId], query: &[TermId]) -> Verdict {
-    let mut smt = SmtSession::with_cache(fuzz_smt_config(), Arc::new(QueryCache::new()));
+    let mut smt = SmtSession::new(fuzz_smt_config());
     for &ax in axioms {
         smt.assert_axiom(ax);
     }
@@ -112,10 +113,9 @@ fn check_shortcuts(id: BenchmarkId, paths: usize, seed: u64) -> (usize, u64) {
     let mut whole = terminate_constraints(&session, &domains, &mut ctx);
     let config = ExploreConfig {
         max_unroll: 1,
-        check_feasibility: false,
         ..ExploreConfig::default()
     };
-    for path in Explorer::new(program, config).enumerate(&mut ctx, &EmptyFiller, paths) {
+    for path in Explorer::new(program, config, None).enumerate(&mut ctx, &EmptyFiller, paths) {
         whole.push(safepath_constraint(
             &session,
             &session.spec,
@@ -127,7 +127,7 @@ fn check_shortcuts(id: BenchmarkId, paths: usize, seed: u64) -> (usize, u64) {
     let mut parts: Vec<Constraint> = Vec::new();
     Slicer::new(&domains).add(&mut ctx, whole, &mut parts);
 
-    let mut smt = SmtSession::with_cache(fuzz_smt_config(), Arc::new(QueryCache::new()));
+    let mut smt = SmtSession::new(fuzz_smt_config());
     for &ax in &axioms {
         smt.assert_axiom(ax);
     }

@@ -3,15 +3,13 @@
 //! which make safety constraints valid), a constraint is valid iff every
 //! one of its parts is, each query answered by a fresh session.
 
-use std::sync::Arc;
-
 use pins::core::{
     build_domains, init_constraints, safepath_constraint, terminate_constraints, Constraint,
     DomainConfig, HoleDomains, HoleSet, Pins, Slicer, Solution,
 };
 use pins::fuzz::fuzz_smt_config;
 use pins::logic::TermId;
-use pins::smt::{QueryCache, SmtSession, Verdict};
+use pins::smt::{SmtSession, Verdict};
 use pins::suite::{benchmark, BenchmarkId};
 use pins::symexec::{apply_filler_term, EmptyFiller, ExploreConfig, Explorer, MapFiller, SymCtx};
 use pins_prng::SplitMix64;
@@ -52,7 +50,7 @@ fn validity(
         .collect();
     let goal = apply_filler_term(ctx, program, c.goal, filler);
     query.push(ctx.arena.mk_not(goal));
-    let mut smt = SmtSession::with_cache(fuzz_smt_config(), Arc::new(QueryCache::new()));
+    let mut smt = SmtSession::new(fuzz_smt_config());
     for &ax in axioms {
         smt.assert_axiom(ax);
     }
@@ -95,10 +93,9 @@ fn check_exact(id: BenchmarkId, paths: usize, seed: u64, synthesize: bool) -> us
     let mut constraints = terminate_constraints(&session, &domains, &mut ctx);
     let config = ExploreConfig {
         max_unroll: 1,
-        check_feasibility: false,
         ..ExploreConfig::default()
     };
-    for path in Explorer::new(program, config).enumerate(&mut ctx, &EmptyFiller, paths) {
+    for path in Explorer::new(program, config, None).enumerate(&mut ctx, &EmptyFiller, paths) {
         constraints.push(safepath_constraint(
             &session,
             &session.spec,

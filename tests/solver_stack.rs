@@ -10,6 +10,11 @@ use pins::logic::Sort;
 use pins::smt::{SmtConfig, SmtResult, SmtSession};
 use pins::symexec::{EmptyFiller, ExploreConfig, Explorer, SymCtx};
 
+/// A feasibility session for an explorer that prunes infeasible branches.
+fn feasibility() -> SmtSession {
+    SmtSession::new(SmtConfig::default())
+}
+
 /// The symbolic executor and the concrete interpreter agree: a concrete run
 /// of a closed program follows exactly one symbolic path, and the model of
 /// that path's condition reproduces the run's I/O.
@@ -25,11 +30,7 @@ proc clampsum(in a: int, in b: int, out s: int) {
 "#;
     let p = parse_program(src).unwrap();
     let mut ctx = SymCtx::new(&p);
-    let cfg = ExploreConfig {
-        check_feasibility: false,
-        ..ExploreConfig::default()
-    };
-    let mut ex = Explorer::new(&p, cfg);
+    let mut ex = Explorer::new(&p, ExploreConfig::default(), None);
     let paths = ex.enumerate(&mut ctx, &EmptyFiller, 100);
     assert_eq!(paths.len(), 2);
 
@@ -83,7 +84,7 @@ proc steps(in n: int, out c: int) {
     let mut avoid = HashSet::new();
     let mut session = SmtSession::new(SmtConfig::default());
     for expected_iters in 0..4i64 {
-        let mut ex = Explorer::new(&p, ExploreConfig::default());
+        let mut ex = Explorer::new(&p, ExploreConfig::default(), Some(feasibility()));
         let path = ex.explore_one(&mut ctx, &EmptyFiller, &avoid).unwrap();
         avoid.insert(path.key);
         let SmtResult::Sat(model) = session.check_under(&mut ctx.arena, &path.conjuncts) else {
@@ -123,7 +124,7 @@ fn straightline_symbolic_concrete_agreement() {
         let src = format!("proc f(in x0: int, out x: int) {{\n x := x0;\n {body} }}");
         let p = parse_program(&src).unwrap();
         let mut ctx = SymCtx::new(&p);
-        let mut ex = Explorer::new(&p, ExploreConfig::default());
+        let mut ex = Explorer::new(&p, ExploreConfig::default(), Some(feasibility()));
         let path = ex
             .explore_one(&mut ctx, &EmptyFiller, &HashSet::new())
             .unwrap();
@@ -165,7 +166,7 @@ proc swap2(inout A: int[], in i: int, in j: int) {
 "#;
     let p = parse_program(src).unwrap();
     let mut ctx = SymCtx::new(&p);
-    let mut ex = Explorer::new(&p, ExploreConfig::default());
+    let mut ex = Explorer::new(&p, ExploreConfig::default(), Some(feasibility()));
     let path = ex
         .explore_one(&mut ctx, &EmptyFiller, &HashSet::new())
         .unwrap();
