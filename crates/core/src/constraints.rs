@@ -3,10 +3,12 @@
 //! `init` invariant constraints — plus the [`Slicer`] every generated
 //! constraint passes through before the hole solver sees it.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
 
 use pins_ir::{Expr, LoopId, Pred, Stmt, VarId};
-use pins_logic::{collect_vars, Sort, Term, TermArena, TermId, VarKey, BOUND_VERSION};
+use pins_logic::{
+    collect_vars, FxHashMap, FxHashSet, Sort, Term, TermArena, TermId, VarKey, BOUND_VERSION,
+};
 use pins_symexec::{
     version_of, EmptyFiller, ExploreConfig, Explorer, HoleKind, PathResult, SymCtx, VersionMap,
 };
@@ -231,7 +233,7 @@ impl HoleSet {
 /// The hole-occurrence ids in `terms`, ascending.
 fn occurrences(arena: &TermArena, terms: impl IntoIterator<Item = TermId>) -> BTreeSet<u32> {
     let mut out = BTreeSet::new();
-    let mut seen = HashSet::new();
+    let mut seen = FxHashSet::default();
     let mut stack: Vec<TermId> = terms.into_iter().collect();
     while let Some(t) = stack.pop() {
         if !seen.insert(t) {
@@ -289,9 +291,9 @@ pub struct Slicer {
     pred_reads: Vec<Vec<VarId>>,
     /// Per-term facts, memoized: path prefixes recur across constraints.
     infos: Vec<TermInfo>,
-    info_of: HashMap<TermId, usize>,
+    info_of: FxHashMap<TermId, usize>,
     /// Every `(hyps, goal)` added so far.
-    seen: HashSet<(Vec<TermId>, TermId)>,
+    seen: FxHashSet<(Vec<TermId>, TermId)>,
     metrics: SliceMetrics,
 }
 
@@ -324,8 +326,8 @@ impl Slicer {
             expr_reads: domains.exprs.iter().map(|d| reads(d, expr_vars)).collect(),
             pred_reads: domains.preds.iter().map(|d| reads(d, pred_vars)).collect(),
             infos: Vec::new(),
-            info_of: HashMap::new(),
-            seen: HashSet::new(),
+            info_of: FxHashMap::default(),
+            seen: FxHashSet::default(),
             metrics: SliceMetrics::default(),
         }
     }
@@ -376,7 +378,7 @@ impl Slicer {
     /// [`slice`](Self::slice), plus whether some part mentions strictly
     /// fewer holes than `c`.
     fn slice_parts(&mut self, ctx: &mut SymCtx, c: &Constraint) -> (Vec<Constraint>, bool) {
-        let mut unique = HashSet::new();
+        let mut unique = FxHashSet::default();
         let hyps: Vec<TermId> = c
             .hyps
             .iter()
@@ -438,7 +440,7 @@ impl Slicer {
     /// variable keeps exactly one reader, itself), so the fixpoint does not
     /// depend on the visiting order.
     fn cone(&self, hyps: &[usize], goal: usize) -> Vec<bool> {
-        let mut readers: HashMap<VarKey, u32> = HashMap::new();
+        let mut readers: FxHashMap<VarKey, u32> = FxHashMap::default();
         for &i in hyps.iter().chain(std::iter::once(&goal)) {
             for &v in &self.infos[i].reads {
                 *readers.entry(v).or_insert(0) += 1;
@@ -470,7 +472,7 @@ impl Slicer {
         if let Some(&i) = self.info_of.get(&t) {
             return i;
         }
-        let mut vars = HashSet::new();
+        let mut vars = FxHashSet::default();
         collect_vars(&ctx.arena, t, &mut vars);
         let occs = occurrences(&ctx.arena, [t]);
         for &occ in &occs {

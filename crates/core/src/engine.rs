@@ -1,12 +1,11 @@
 //! Algorithm 1: the PINS main loop.
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pins_budget::Budget;
 use pins_ir::{Expr, Pred, Program, Stmt, Value};
-use pins_logic::TermId;
+use pins_logic::{FxHashMap, FxHashSet, TermId};
 use pins_prng::SplitMix64;
 use pins_smt::{QueryCache, SessionStats, SmtConfig, SmtResult, SmtSession};
 use pins_symexec::{apply_filler_term, ExploreConfig, Explorer, MapFiller, PathResult, SymCtx};
@@ -21,7 +20,7 @@ use crate::solve::{restrict, HoleSolver, RestrictedKey, Solution, SolveStats};
 
 /// `pickOne` memo: a path's substituted key plus the solution's choices for
 /// the holes that path mentions, mapped to "is this path infeasible under S".
-type InfeasibleCache = HashMap<(TermId, RestrictedKey), bool>;
+type InfeasibleCache = FxHashMap<(TermId, RestrictedKey), bool>;
 
 /// PINS configuration.
 #[derive(Debug, Clone)]
@@ -389,10 +388,10 @@ impl Pins {
         let mut solver = HoleSolver::new(&domains);
         solver.bind_metrics(metrics);
 
-        let mut explored: HashSet<TermId> = HashSet::new();
+        let mut explored: FxHashSet<TermId> = FxHashSet::default();
         let mut paths: Vec<PathResult> = Vec::new();
         let mut path_holes: Vec<HoleSet> = Vec::new(); // holes per path
-        let mut infeasible_cache: InfeasibleCache = HashMap::new();
+        let mut infeasible_cache: InfeasibleCache = FxHashMap::default();
 
         let mut last_size = usize::MAX;
         let mut iterations = 0;

@@ -31,14 +31,13 @@
 //! them) or persistent assertions (which a witness that recomputes defined
 //! variables may break) never replays.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use pins_budget::StopReason;
 
 use pins_ir::{EHoleId, PHoleId};
-use pins_logic::TermId;
+use pins_logic::{FxHashMap, TermId};
 use pins_sat::{Lit, SolveResult, Solver as SatSolver, Var};
 use pins_smt::{Definitions, Model, SmtResult, SmtSession, Witness};
 use pins_symexec::{apply_filler_term, MapFiller, SymCtx};
@@ -197,7 +196,7 @@ pub struct HoleSolver {
     evars: Vec<Vec<Var>>,
     pvars: Vec<Vec<Var>>,
     /// `(constraint index, restricted assignment) -> verified?`
-    cache: HashMap<(usize, RestrictedKey), bool>,
+    cache: FxHashMap<(usize, RestrictedKey), bool>,
     holes_of: Vec<HoleSet>,
     /// Per constraint: the models of its SMT refutations, most recently
     /// successful first (empty unless the session replays).
@@ -232,7 +231,7 @@ impl HoleSolver {
             sat,
             evars,
             pvars,
-            cache: HashMap::new(),
+            cache: FxHashMap::default(),
             holes_of: Vec::new(),
             countermodels: Vec::new(),
             proposed_before: false,

@@ -22,12 +22,14 @@
 //! assert_eq!(arena.sort(sum), Sort::Int);
 //! ```
 
+mod hash;
 mod print;
 mod sort;
 mod symbol;
 mod term;
 mod visit;
 
+pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use print::TermDisplay;
 pub use sort::Sort;
 pub use symbol::{Symbol, SymbolTable};

@@ -25,6 +25,8 @@ impl fmt::Display for Symbol {
 #[derive(Debug, Default, Clone)]
 pub struct SymbolTable {
     names: Vec<String>,
+    /// Keyed by names from the programs PINS reads, so it keeps the
+    /// standard library's collision-resistant hasher.
     by_name: HashMap<String, Symbol>,
 }
 

@@ -1,8 +1,8 @@
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::sort::Sort;
 use crate::symbol::{Symbol, SymbolTable};
+use crate::FxHashMap;
 
 /// A handle to an interned term in a [`TermArena`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -99,9 +99,9 @@ pub struct TermArena {
     sorts: Vec<Sort>,
     /// Per term: whether no [`BOUND_VERSION`] variable occurs in it.
     ground: Vec<bool>,
-    intern: HashMap<Term, TermId>,
+    intern: FxHashMap<Term, TermId>,
     symbols: SymbolTable,
-    fun_decls: HashMap<Symbol, FunDecl>,
+    fun_decls: FxHashMap<Symbol, FunDecl>,
     true_id: TermId,
     false_id: TermId,
 }
@@ -147,9 +147,9 @@ impl TermArena {
             terms: Vec::new(),
             sorts: Vec::new(),
             ground: Vec::new(),
-            intern: HashMap::new(),
+            intern: FxHashMap::default(),
             symbols: SymbolTable::new(),
-            fun_decls: HashMap::new(),
+            fun_decls: FxHashMap::default(),
             true_id: TermId(0),
             false_id: TermId(0),
         };

@@ -2,6 +2,9 @@
 //! collection.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::BuildHasher;
+
+use crate::{FxHashMap, FxHashSet};
 
 use crate::sort::Sort;
 use crate::symbol::Symbol;
@@ -25,16 +28,20 @@ impl TermArena {
     ///
     /// Quantifier-bound variables have the [`BOUND_VERSION`] sentinel and
     /// fresh symbols, so maps keyed on program variables can never capture.
-    pub fn substitute(&mut self, t: TermId, map: &HashMap<TermId, TermId>) -> TermId {
-        let mut memo: HashMap<TermId, TermId> = HashMap::new();
+    pub fn substitute<S: BuildHasher>(
+        &mut self,
+        t: TermId,
+        map: &HashMap<TermId, TermId, S>,
+    ) -> TermId {
+        let mut memo: FxHashMap<TermId, TermId> = FxHashMap::default();
         self.subst_rec(t, map, &mut memo)
     }
 
-    fn subst_rec(
+    fn subst_rec<S: BuildHasher>(
         &mut self,
         t: TermId,
-        map: &HashMap<TermId, TermId>,
-        memo: &mut HashMap<TermId, TermId>,
+        map: &HashMap<TermId, TermId, S>,
+        memo: &mut FxHashMap<TermId, TermId>,
     ) -> TermId {
         if let Some(&r) = map.get(&t) {
             return r;
@@ -120,8 +127,8 @@ impl TermArena {
 }
 
 /// Collects the free variables of `t` (bound variables are skipped).
-pub fn collect_vars(arena: &TermArena, t: TermId, out: &mut HashSet<VarKey>) {
-    let mut seen: HashSet<TermId> = HashSet::new();
+pub fn collect_vars<S: BuildHasher>(arena: &TermArena, t: TermId, out: &mut HashSet<VarKey, S>) {
+    let mut seen: FxHashSet<TermId> = FxHashSet::default();
     let mut stack = vec![t];
     while let Some(id) = stack.pop() {
         if !seen.insert(id) {
@@ -138,7 +145,7 @@ pub fn collect_vars(arena: &TermArena, t: TermId, out: &mut HashSet<VarKey>) {
 
 /// Collects every application subterm of function `f` inside `t`.
 pub fn collect_apps(arena: &TermArena, t: TermId, f: Symbol, out: &mut Vec<TermId>) {
-    let mut seen: HashSet<TermId> = HashSet::new();
+    let mut seen: FxHashSet<TermId> = FxHashSet::default();
     let mut stack = vec![t];
     while let Some(id) = stack.pop() {
         if !seen.insert(id) {
@@ -154,7 +161,11 @@ pub fn collect_apps(arena: &TermArena, t: TermId, f: Symbol, out: &mut Vec<TermI
 }
 
 /// Collects every subterm of `t` (including `t` itself), deduplicated.
-pub fn collect_subterms(arena: &TermArena, t: TermId, out: &mut HashSet<TermId>) {
+pub fn collect_subterms<S: BuildHasher>(
+    arena: &TermArena,
+    t: TermId,
+    out: &mut HashSet<TermId, S>,
+) {
     let mut stack = vec![t];
     while let Some(id) = stack.pop() {
         if !out.insert(id) {

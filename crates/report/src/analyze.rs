@@ -40,17 +40,22 @@ pub struct PassTimes {
     /// Upfront axiom instantiation (counted in `prep_us` by traces that
     /// predate the field, which read 0 here).
     pub inst_us: u64,
+    /// Wall time of the rounds after each check's first CDCL search: the
+    /// resumed searches and the lemma work between them. A slice of the
+    /// columns before it, not another pass; 0 in traces that predate it.
+    pub resume_us: u64,
 }
 
 impl PassTimes {
     /// The per-pass field names on `smt.check` spans, in column order.
-    pub const FIELDS: [&'static str; 6] = [
+    pub const FIELDS: [&'static str; 7] = [
         "prep_us",
         "sat_us",
         "euf_us",
         "lia_us",
         "ematch_us",
         "inst_us",
+        "resume_us",
     ];
 
     fn add_check(&mut self, ev: &TraceEvent) {
@@ -62,6 +67,7 @@ impl PassTimes {
         self.lia_us += f("lia_us");
         self.ematch_us += f("ematch_us");
         self.inst_us += f("inst_us");
+        self.resume_us += f("resume_us");
     }
 
     fn absorb(&mut self, o: &PassTimes) {
@@ -72,10 +78,11 @@ impl PassTimes {
         self.lia_us += o.lia_us;
         self.ematch_us += o.ematch_us;
         self.inst_us += o.inst_us;
+        self.resume_us += o.resume_us;
     }
 
     /// The pass times in [`PassTimes::FIELDS`] order.
-    pub fn values(&self) -> [u64; 6] {
+    pub fn values(&self) -> [u64; 7] {
         [
             self.prep_us,
             self.sat_us,
@@ -83,6 +90,7 @@ impl PassTimes {
             self.lia_us,
             self.ematch_us,
             self.inst_us,
+            self.resume_us,
         ]
     }
 }
@@ -409,14 +417,33 @@ mod tests {
             "\n",
         ));
         let a = Analysis::from_trace(&trace, 10);
-        assert_eq!(a.passes["serialize"].values(), [5, 10, 30, 40, 1, 7]);
+        assert_eq!(a.passes["serialize"].values(), [5, 10, 30, 40, 1, 7, 0]);
         let text = crate::render::analysis_report(&a, &trace.stats, &[]);
         let header = text
             .lines()
             .skip_while(|l| !l.contains("solver time per pass"))
             .nth(1)
             .unwrap_or_default();
-        assert!(header.trim_end().ends_with("ematch       inst"), "{text}");
+        assert!(header.contains("ematch       inst"), "{text}");
+    }
+
+    #[test]
+    fn resumed_rounds_get_their_own_column() {
+        let trace = Trace::parse(concat!(
+            r#"{"seq":1,"t_us":0,"thread":0,"kind":"span_end","name":"smt.check","span":2,"parent":1,"dur_us":90,"fields":{"prep_us":5,"inst_us":7,"sat_us":10,"euf_us":30,"lia_us":40,"ematch_us":1,"resume_us":60}}"#,
+            "\n",
+            r#"{"seq":2,"t_us":2,"thread":0,"kind":"span_end","name":"smt.query","span":1,"dur_us":100,"fields":{"bench":"vrotate","phase":"solve","cached":false}}"#,
+            "\n",
+        ));
+        let a = Analysis::from_trace(&trace, 10);
+        assert_eq!(a.passes["vrotate"].resume_us, 60);
+        let text = crate::render::analysis_report(&a, &trace.stats, &[]);
+        let header = text
+            .lines()
+            .skip_while(|l| !l.contains("solver time per pass"))
+            .nth(1)
+            .unwrap_or_default();
+        assert!(header.trim_end().ends_with("inst     resume"), "{text}");
     }
 
     #[test]

@@ -140,14 +140,17 @@ impl Theory for NoTheory {
     }
 }
 
-/// What became of a theory conflict clause handed to the search.
-enum Learned {
+/// What became of a clause attached at the live trail.
+enum Attached {
+    /// Attached, or dropped as satisfied by a fact: the trail stands.
+    Quiet,
+    /// The clause was unit under the trail: its literal was enqueued.
+    Unit,
+    /// The clause is false under the trail, and its highest level is the
+    /// current one: analyze it as the conflict.
+    Conflict(u32),
     /// The clause is false at level 0: the formula is unsatisfiable.
     Unsat,
-    /// The clause was attached; analyze it as the conflict.
-    Conflict(u32),
-    /// A unit clause: its literal was enqueued at level 0.
-    Unit,
 }
 
 /// Minimum conflicts before a solve call earns a `sat.solve` trace event.
@@ -180,6 +183,12 @@ pub struct Solver {
     /// Assumption literals responsible for the most recent
     /// [`SolveResult::Unsat`] answer (see [`Solver::assumption_core`]).
     assumption_core: Vec<Lit>,
+    /// Unit facts enqueued above level 0 (at level number 0): a backjump
+    /// that removes one puts it back at the level it lands on.
+    units: Vec<Lit>,
+    /// A clause [`Solver::add_clause_live`] found false under the trail,
+    /// analyzed when the search resumes.
+    pending_conflict: Option<u32>,
     /// Work budget charged per conflict and per decision.
     budget: Budget,
     /// Statistics: total conflicts encountered.
@@ -220,6 +229,8 @@ impl Solver {
             ok: true,
             max_learnts: 1000.0,
             assumption_core: Vec::new(),
+            units: Vec::new(),
+            pending_conflict: None,
             budget: Budget::unlimited(),
             conflicts: 0,
             decisions: 0,
@@ -300,9 +311,11 @@ impl Solver {
 
     /// Adds a clause. Returns `false` if the clause system became trivially
     /// unsatisfiable. May be called between `solve` calls (the solver resets
-    /// to decision level 0 first).
+    /// to decision level 0 first; with a theory attached, call
+    /// [`Solver::backtrack_theory`] first, or use
+    /// [`Solver::add_clause_live`] to keep the trail).
     pub fn add_clause(&mut self, lits: &[Lit]) -> bool {
-        self.cancel_until(0);
+        self.backjump(0, &mut NoTheory);
         if !self.ok {
             return false;
         }
@@ -373,6 +386,34 @@ impl Solver {
         self.level[v] = self.decision_level();
         self.reason[v] = from;
         self.trail.push(l);
+    }
+
+    /// Enqueues a unit fact at the current level with level number 0, so
+    /// conflict analysis treats it as the level-0 fact it is; a fact above
+    /// level 0 is remembered and put back after every backjump that
+    /// removes it.
+    fn enqueue_fact(&mut self, l: Lit) {
+        self.unchecked_enqueue(l, None);
+        self.level[l.var().index()] = 0;
+        if self.decision_level() > 0 {
+            self.units.push(l);
+        }
+    }
+
+    /// Cuts the trail back to `level`, tells `theory`, then puts back the
+    /// unit facts the cut removed (at the level landed on; at level 0 they
+    /// become ordinary level-0 facts).
+    fn backjump<T: Theory>(&mut self, level: u32, theory: &mut T) {
+        self.cancel_until(level);
+        theory.backtrack(self.trail.len());
+        for l in std::mem::take(&mut self.units) {
+            debug_assert_ne!(self.lit_value(l), -1, "a unit fact was falsified");
+            if self.lit_value(l) == L_UNDEF {
+                self.enqueue_fact(l);
+            } else if self.decision_level() > 0 {
+                self.units.push(l);
+            }
+        }
     }
 
     /// Unit propagation; returns the conflicting clause reference on conflict.
@@ -651,6 +692,9 @@ impl Solver {
                 continue;
             }
             self.seen[v] = false;
+            if self.level[v] == 0 {
+                continue; // a unit fact enqueued above level 0
+            }
             match self.reason[v] {
                 // a seen decision above level 0 is an assumption enqueue
                 None => core.push(l),
@@ -698,21 +742,44 @@ impl Solver {
     /// Solves under the given assumption literals. The assumptions only hold
     /// for this call; the learnt clauses persist.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SolveResult {
-        self.traced_search(assumptions, &mut NoTheory)
+        self.traced_search(assumptions, &mut NoTheory, false)
     }
 
     /// Solves under assumptions modulo `theory` (DPLL(T)). Theory conflicts
     /// are learnt as clauses inside the search. On [`SolveResult::Sat`] the
     /// full assignment stays on the trail so the caller can finish its
-    /// theory work; call [`Solver::backtrack_theory`] before changing the
-    /// clause set. Every other result leaves the solver at level 0 with the
-    /// theory backtracked to match.
+    /// theory work, add clauses with [`Solver::add_clause_live`] and
+    /// [`Solver::resume_with_theory`]; call [`Solver::backtrack_theory`]
+    /// before adding clauses any other way. Every other result leaves the
+    /// solver at level 0 with the theory backtracked to match.
     pub fn solve_with_theory<T: Theory>(
         &mut self,
         assumptions: &[Lit],
         theory: &mut T,
     ) -> SolveResult {
-        let result = self.traced_search(assumptions, theory);
+        self.finish_theory_search(assumptions, theory, false)
+    }
+
+    /// Continues the search a [`SolveResult::Sat`] answer of
+    /// [`Solver::solve_with_theory`] (or of an earlier resume) stopped,
+    /// from the live trail: the clauses added since with
+    /// [`Solver::add_clause_live`] take part, and nothing is re-decided
+    /// that they did not cut back. Same contract as `solve_with_theory`.
+    pub fn resume_with_theory<T: Theory>(
+        &mut self,
+        assumptions: &[Lit],
+        theory: &mut T,
+    ) -> SolveResult {
+        self.finish_theory_search(assumptions, theory, true)
+    }
+
+    fn finish_theory_search<T: Theory>(
+        &mut self,
+        assumptions: &[Lit],
+        theory: &mut T,
+        resume: bool,
+    ) -> SolveResult {
+        let result = self.traced_search(assumptions, theory, resume);
         if result != SolveResult::Sat {
             self.backtrack_theory(theory);
         }
@@ -722,13 +789,124 @@ impl Solver {
     /// Cuts the trail back to level 0 and tells `theory`, so the theory
     /// state matches the trail before clauses are added.
     pub fn backtrack_theory<T: Theory>(&mut self, theory: &mut T) {
-        self.cancel_until(0);
-        theory.backtrack(self.trail.len());
+        self.backjump(0, theory);
     }
 
-    fn traced_search<T: Theory>(&mut self, assumptions: &[Lit], theory: &mut T) -> SolveResult {
+    /// Adds a clause at the live trail, typically a lemma the caller's final
+    /// check derived from a [`SolveResult::Sat`] assignment, and keeps as
+    /// much of the trail as the clause allows (see
+    /// [`Solver::resume_with_theory`]):
+    ///
+    /// * two literals not false, or a true literal no higher than every
+    ///   false one: the clause is attached and the trail stands;
+    /// * exactly one literal not false (unassigned, or true above the
+    ///   highest false literal): the solver backjumps to the highest false
+    ///   level and enqueues that literal with the clause as its reason;
+    /// * every literal false: the solver backjumps to the highest level
+    ///   and the clause is analyzed as a conflict when the search resumes;
+    /// * one literal: a unit fact, enqueued at the current level (after
+    ///   backjumping below the level it is false at) and put back after
+    ///   any backjump that removes it; it never sends the search back to
+    ///   level 0.
+    ///
+    /// Literals fixed by facts are dropped, and a clause a fact satisfies
+    /// is not attached. New variables may occur in the clause.
+    pub fn add_clause_live<T: Theory>(&mut self, lits: &[Lit], theory: &mut T) {
+        if let Attached::Conflict(cref) = self.attach_live(lits.to_vec(), false, theory) {
+            self.pending_conflict = Some(cref);
+        }
+    }
+
+    /// The case analysis behind [`Solver::add_clause_live`], shared with
+    /// the theory's conflict clauses (`learnt`).
+    fn attach_live<T: Theory>(
+        &mut self,
+        mut lits: Vec<Lit>,
+        learnt: bool,
+        theory: &mut T,
+    ) -> Attached {
+        if !self.ok {
+            return Attached::Unsat;
+        }
+        lits.sort_unstable();
+        lits.dedup();
+        if lits.windows(2).any(|w| w[1] == !w[0]) {
+            return Attached::Quiet; // tautology
+        }
+        let mut open = Vec::with_capacity(lits.len());
+        for l in lits {
+            match self.lit_value(l) {
+                1 if self.level[l.var().index()] == 0 => return Attached::Quiet,
+                -1 if self.level[l.var().index()] == 0 => {}
+                _ => open.push(l),
+            }
+        }
+        let mut lits = open;
+        if lits.is_empty() {
+            self.ok = false;
+            return Attached::Unsat;
+        }
+        if lits.len() == 1 {
+            let l = lits[0];
+            let v = l.var().index();
+            match self.lit_value(l) {
+                1 => {
+                    // true above level 0: it holds from now on
+                    self.level[v] = 0;
+                    self.reason[v] = None;
+                    self.units.push(l);
+                    return Attached::Quiet;
+                }
+                -1 => self.backjump(self.level[v] - 1, theory),
+                _ => {}
+            }
+            self.enqueue_fact(l);
+            return Attached::Unit;
+        }
+        // watches first: literals not false, then false ones, highest first
+        lits.sort_by_key(|&l| {
+            let v = l.var().index();
+            match self.lit_value(l) {
+                -1 => (1, std::cmp::Reverse(self.level[v])),
+                _ => (0, std::cmp::Reverse(0)),
+            }
+        });
+        let level = |s: &Solver, l: Lit| s.level[l.var().index()];
+        let (first, second) = (self.lit_value(lits[0]), self.lit_value(lits[1]));
+        if second != -1 || (first == 1 && level(self, lits[0]) <= level(self, lits[1])) {
+            self.attach(lits, learnt);
+            return Attached::Quiet;
+        }
+        if first != -1 {
+            // exactly one literal not false: unit at the highest false level
+            self.backjump(level(self, lits[1]), theory);
+            let asserting = lits[0];
+            let cref = self.attach(lits, learnt);
+            self.unchecked_enqueue(asserting, Some(cref));
+            return Attached::Unit;
+        }
+        self.backjump(level(self, lits[0]), theory);
+        Attached::Conflict(self.attach(lits, learnt))
+    }
+
+    /// The highest level among a clause's literals (level-0 facts count 0).
+    fn clause_level(&self, cref: u32) -> u32 {
+        self.clauses[cref as usize]
+            .lits
+            .iter()
+            .map(|l| self.level[l.var().index()])
+            .max()
+            .unwrap_or(0)
+    }
+
+    fn traced_search<T: Theory>(
+        &mut self,
+        assumptions: &[Lit],
+        theory: &mut T,
+        resume: bool,
+    ) -> SolveResult {
         if !pins_trace::is_enabled() {
-            return self.search(assumptions, theory);
+            return self.search(assumptions, theory, resume);
         }
         // Tracing path: the engine makes thousands of SAT calls per query,
         // so per-call events are sampled — only calls that did real search
@@ -741,7 +919,7 @@ impl Solver {
             self.restarts,
         );
         let start = std::time::Instant::now();
-        let result = self.search(assumptions, theory);
+        let result = self.search(assumptions, theory, resume);
         let conflicts = self.conflicts - c0;
         if conflicts >= SAT_TRACE_MIN_CONFLICTS {
             let verdict = match result {
@@ -764,53 +942,40 @@ impl Solver {
         result
     }
 
-    /// Attaches a theory conflict clause so conflict analysis can resolve
-    /// it: backjumps to the clause's highest level first, so the clause has
-    /// a literal at the current decision level.
-    fn learn_theory_clause<T: Theory>(&mut self, mut lits: Vec<Lit>, theory: &mut T) -> Learned {
-        lits.sort_unstable();
-        lits.dedup();
-        lits.retain(|&l| self.level[l.var().index()] > 0);
-        debug_assert!(lits.iter().all(|&l| self.lit_value(l) == -1));
-        if lits.is_empty() {
-            self.ok = false;
-            return Learned::Unsat;
-        }
-        // the two highest-level literals become the watches
-        lits.sort_by_key(|&l| std::cmp::Reverse(self.level[l.var().index()]));
-        let top = self.level[lits[0].var().index()];
-        if top < self.decision_level() {
-            self.cancel_until(top);
-            theory.backtrack(self.trail.len());
-        }
-        if lits.len() == 1 {
-            self.cancel_until(0);
-            theory.backtrack(self.trail.len());
-            self.unchecked_enqueue(lits[0], None);
-            return Learned::Unit;
-        }
-        Learned::Conflict(self.attach(lits, true))
-    }
-
     /// The CDCL search loop behind [`Solver::solve_with_assumptions`] and
-    /// [`Solver::solve_with_theory`].
-    fn search<T: Theory>(&mut self, assumptions: &[Lit], theory: &mut T) -> SolveResult {
-        self.cancel_until(0);
-        theory.backtrack(self.trail.len());
+    /// [`Solver::solve_with_theory`]; `resume` keeps the live trail (and
+    /// analyzes the conflict [`Solver::add_clause_live`] left pending)
+    /// instead of starting from level 0.
+    fn search<T: Theory>(
+        &mut self,
+        assumptions: &[Lit],
+        theory: &mut T,
+        resume: bool,
+    ) -> SolveResult {
         self.assumption_core.clear();
+        if !resume {
+            self.pending_conflict = None;
+            self.backjump(0, theory);
+        }
         if !self.ok {
             return SolveResult::Unsat;
         }
-        if self.propagate().is_some() {
+        if !resume && self.propagate().is_some() {
             self.ok = false;
             return SolveResult::Unsat;
         }
         let mut restart_count = 0u64;
         let mut conflicts_until_restart = 100 * Self::luby(restart_count);
         let mut conflicts_this_restart = 0u64;
-        // a conflict clause from the theory's final check, analyzed at the
-        // next loop head
-        let mut final_conflict: Option<u32> = None;
+        // a conflict clause attached at the live trail (by the theory's final
+        // check, or by the caller before a resume), analyzed at the next
+        // loop head; a later backjump may have made it stale
+        let mut final_conflict = self.pending_conflict.take().filter(|&cref| {
+            self.clauses[cref as usize]
+                .lits
+                .iter()
+                .all(|&l| self.lit_value(l) == -1)
+        });
         loop {
             let mut confl = match final_conflict.take() {
                 Some(cref) => Some(cref),
@@ -821,10 +986,11 @@ impl Solver {
                     Ok(()) => {}
                     Err(TheoryConflict::Stop(reason)) => return SolveResult::Interrupted(reason),
                     Err(TheoryConflict::Clause(lits)) => {
-                        match self.learn_theory_clause(lits, theory) {
-                            Learned::Unsat => return SolveResult::Unsat,
-                            Learned::Unit => continue,
-                            Learned::Conflict(cref) => confl = Some(cref),
+                        debug_assert!(lits.iter().all(|&l| self.lit_value(l) == -1));
+                        match self.attach_live(lits, true, theory) {
+                            Attached::Unsat => return SolveResult::Unsat,
+                            Attached::Quiet | Attached::Unit => continue,
+                            Attached::Conflict(cref) => confl = Some(cref),
                         }
                     }
                 }
@@ -848,13 +1014,18 @@ impl Solver {
                 if let Err(reason) = self.budget.charge(1) {
                     return SolveResult::Interrupted(reason);
                 }
-                if self.decision_level() == 0 {
+                // a unit fact enqueued late can falsify a clause whose other
+                // literals all sit below the current level: analyze it there
+                let top = self.clause_level(confl);
+                if top == 0 {
                     self.ok = false;
                     return SolveResult::Unsat;
                 }
+                if top < self.decision_level() {
+                    self.backjump(top, theory);
+                }
                 let (learnt, bt) = self.analyze(confl);
-                self.cancel_until(bt);
-                theory.backtrack(self.trail.len());
+                self.backjump(bt, theory);
                 if learnt.len() == 1 {
                     self.unchecked_enqueue(learnt[0], None);
                 } else {
@@ -882,8 +1053,7 @@ impl Solver {
                     });
                     conflicts_until_restart = 100 * Self::luby(restart_count);
                     conflicts_this_restart = 0;
-                    self.cancel_until(0);
-                    theory.backtrack(self.trail.len());
+                    self.backjump(0, theory);
                     continue;
                 }
                 // decide: assumptions first, then VSIDS
@@ -920,10 +1090,10 @@ impl Solver {
                             Err(TheoryConflict::Clause(lits)) => {
                                 // the final check's clause is resolved at the
                                 // next loop head like a propagation conflict
-                                match self.learn_theory_clause(lits, theory) {
-                                    Learned::Unsat => return SolveResult::Unsat,
-                                    Learned::Unit => {}
-                                    Learned::Conflict(cref) => final_conflict = Some(cref),
+                                match self.attach_live(lits, true, theory) {
+                                    Attached::Unsat => return SolveResult::Unsat,
+                                    Attached::Quiet | Attached::Unit => {}
+                                    Attached::Conflict(cref) => final_conflict = Some(cref),
                                 }
                             }
                         },

@@ -1,4 +1,4 @@
-use crate::{Lit, SolveResult, Solver, Var};
+use crate::{Lit, SolveResult, Solver, Theory, TheoryConflict, Var};
 use pins_prng::SplitMix64;
 
 /// Number of randomized cases to run: small by default so the hermetic
@@ -269,4 +269,229 @@ fn assumption_solving_matches_augmented_formula() {
         let r2 = c2 && s2.solve() == SolveResult::Sat;
         assert_eq!(r1, r2, "assumption mismatch on {clauses:?} / {assumps:?}");
     }
+}
+
+/// A theory that accepts every assignment except, optionally, two true
+/// literals among `amo` (at most one of them may hold). It mirrors the
+/// trail it was told about and checks that the solver reports every cut
+/// before the trail changes underneath it.
+#[derive(Default)]
+struct Mirror {
+    seen: Vec<Lit>,
+    cuts: Vec<usize>,
+    amo: Vec<Var>,
+}
+
+impl Mirror {
+    fn check(&self, trail: &[Lit]) -> Result<(), TheoryConflict> {
+        let on: Vec<Lit> = trail
+            .iter()
+            .copied()
+            .filter(|l| !l.is_neg() && self.amo.contains(&l.var()))
+            .take(2)
+            .collect();
+        match on[..] {
+            [a, b] => Err(TheoryConflict::Clause(vec![!a, !b])),
+            _ => Ok(()),
+        }
+    }
+}
+
+impl Theory for Mirror {
+    fn propagate(&mut self, trail: &[Lit]) -> Result<(), TheoryConflict> {
+        assert!(
+            trail.starts_with(&self.seen),
+            "the trail changed without a backtrack: {:?} then {trail:?}",
+            self.seen
+        );
+        self.seen = trail.to_vec();
+        self.check(trail)
+    }
+    fn backtrack(&mut self, len: usize) {
+        self.seen.truncate(len);
+        self.cuts.push(len);
+    }
+    fn final_check(&mut self, trail: &[Lit]) -> Result<(), TheoryConflict> {
+        self.check(trail)
+    }
+}
+
+/// A solver whose only clauses are none, stopped at the full assignment
+/// `x0 .. x4` made by assumptions: `x_i` is the decision of level `i + 1`.
+fn five_levels() -> (Solver, Vec<Var>, Vec<Lit>, Mirror) {
+    let mut s = Solver::new();
+    let x = vars(&mut s, 5);
+    let assumps: Vec<Lit> = x.iter().map(|&v| Lit::pos(v)).collect();
+    let mut th = Mirror::default();
+    assert_eq!(s.solve_with_theory(&assumps, &mut th), SolveResult::Sat);
+    th.cuts.clear();
+    (s, x, assumps, th)
+}
+
+#[test]
+fn live_clause_with_two_open_literals_keeps_the_trail() {
+    let (mut s, x, assumps, mut th) = five_levels();
+    let (y, z) = (s.new_var(), s.new_var());
+    s.add_clause_live(&[Lit::pos(y), Lit::pos(z), Lit::neg(x[2])], &mut th);
+    assert!(th.cuts.is_empty(), "attach only: no backjump");
+    assert_eq!((s.value(y), s.value(z)), (None, None));
+    assert_eq!(s.resume_with_theory(&assumps, &mut th), SolveResult::Sat);
+    assert!(s.value(y) == Some(true) || s.value(z) == Some(true));
+}
+
+#[test]
+fn live_clause_satisfied_below_its_false_literals_keeps_the_trail() {
+    let (mut s, x, assumps, mut th) = five_levels();
+    // x1 is true at level 2, below the false literal of level 4
+    s.add_clause_live(&[Lit::pos(x[1]), Lit::neg(x[3])], &mut th);
+    assert!(th.cuts.is_empty(), "attach only: no backjump");
+    assert_eq!(s.resume_with_theory(&assumps, &mut th), SolveResult::Sat);
+}
+
+#[test]
+fn live_clause_with_one_open_literal_propagates_at_the_highest_false_level() {
+    let (mut s, x, assumps, mut th) = five_levels();
+    let y = s.new_var();
+    s.add_clause_live(&[Lit::pos(y), Lit::neg(x[1]), Lit::neg(x[3])], &mut th);
+    // back to level 4: x4 (level 5) is gone, y is implied
+    assert_eq!(th.cuts, vec![4]);
+    assert_eq!(s.value(x[4]), None);
+    assert_eq!(s.value(y), Some(true));
+    assert_eq!(s.resume_with_theory(&assumps, &mut th), SolveResult::Sat);
+    assert_eq!(s.value(y), Some(true));
+}
+
+#[test]
+fn live_clause_true_above_its_false_literals_is_propagated_lower() {
+    let (mut s, x, assumps, mut th) = five_levels();
+    // x4 is true at level 5, the false literals sit at levels 1 and 2
+    s.add_clause_live(&[Lit::pos(x[4]), Lit::neg(x[0]), Lit::neg(x[1])], &mut th);
+    assert_eq!(th.cuts, vec![2]);
+    assert_eq!(s.value(x[2]), None);
+    assert_eq!(s.value(x[4]), Some(true), "re-implied at level 2");
+    assert_eq!(s.resume_with_theory(&assumps, &mut th), SolveResult::Sat);
+}
+
+#[test]
+fn live_clause_false_under_the_trail_is_analyzed_on_resume() {
+    let (mut s, x, assumps, mut th) = five_levels();
+    s.add_clause_live(&[Lit::neg(x[1]), Lit::neg(x[3])], &mut th);
+    assert_eq!(th.cuts, vec![4], "backjump to the clause's top level");
+    assert_eq!(s.resume_with_theory(&assumps, &mut th), SolveResult::Unsat);
+    let mut core = s.assumption_core().to_vec();
+    core.sort_unstable();
+    assert_eq!(core, vec![Lit::pos(x[1]), Lit::pos(x[3])]);
+}
+
+#[test]
+fn live_unit_lemma_is_a_fact_that_survives_backjumps() {
+    let (mut s, x, assumps, mut th) = five_levels();
+    let (y, z) = (s.new_var(), s.new_var());
+    s.add_clause_live(&[Lit::pos(y)], &mut th);
+    assert!(th.cuts.is_empty(), "a unit over a new atom never backjumps");
+    assert_eq!(s.value(y), Some(true));
+    // this clause backjumps to level 1, below where y was enqueued
+    s.add_clause_live(&[Lit::pos(z), Lit::neg(x[0])], &mut th);
+    assert_eq!(th.cuts, vec![1]);
+    assert_eq!(s.value(y), Some(true), "the unit fact is put back");
+    // a false unit: backjump just below the level that falsified it
+    th.cuts.clear();
+    let (mut s2, x2, assumps2, mut th2) = five_levels();
+    s2.add_clause_live(&[Lit::neg(x2[2])], &mut th2);
+    assert_eq!(th2.cuts, vec![2]);
+    assert_eq!(s2.value(x2[2]), Some(false));
+    assert_eq!(
+        s2.resume_with_theory(&assumps2, &mut th2),
+        SolveResult::Unsat
+    );
+    assert_eq!(s2.assumption_core(), &[Lit::pos(x2[2])]);
+    assert_eq!(s.resume_with_theory(&assumps, &mut th), SolveResult::Sat);
+    assert_eq!((s.value(y), s.value(z)), (Some(true), Some(true)));
+}
+
+/// Random clause sets, solved modulo an at-most-one theory, extended after
+/// every `Sat` with live clauses over old and new variables (units
+/// included) and resumed: every verdict equals a fresh solve of the same
+/// clauses, every `Sat` model satisfies every clause, and every unit
+/// clause holds on the trail after each live attach.
+#[test]
+fn resumed_search_agrees_with_a_fresh_solve() {
+    let mut rng = SplitMix64::new(0x5A7_0003);
+    let mut resumes = 0;
+    for case in 0..cases(300, 3000) {
+        let mut s = Solver::new();
+        let mut xs = vars(&mut s, 8);
+        let mut clauses: Vec<Vec<(usize, bool)>> = random_clauses(&mut rng, 8, 1, 16);
+        let amo: Vec<usize> = (0..8).filter(|_| rng.gen_bool(0.3)).collect();
+        let assumps: Vec<(usize, bool)> = (0..rng.gen_index(3))
+            .map(|_| (rng.gen_index(8), rng.gen_bool(0.5)))
+            .collect();
+        let lit = |xs: &[Var], &(i, pos): &(usize, bool)| Lit::new(xs[i], pos);
+        for c in &clauses {
+            let lits: Vec<Lit> = c.iter().map(|p| lit(&xs, p)).collect();
+            s.add_clause(&lits);
+        }
+        let a: Vec<Lit> = assumps.iter().map(|p| lit(&xs, p)).collect();
+        let mut th = Mirror {
+            amo: amo.iter().map(|&i| xs[i]).collect(),
+            ..Mirror::default()
+        };
+        let mut got = s.solve_with_theory(&a, &mut th);
+        // live unit clauses; one that does not hold right after an attach
+        // means the clause set is unsatisfiable (or the unit was lost)
+        let mut units: Vec<(usize, bool)> = Vec::new();
+        let mut dead = false;
+        for _round in 0..4 {
+            if got != SolveResult::Sat {
+                break;
+            }
+            for _ in 0..1 + rng.gen_index(3) {
+                if rng.gen_bool(0.3) {
+                    xs.push(s.new_var());
+                }
+                let c = random_clause(&mut rng, xs.len());
+                let lits: Vec<Lit> = c.iter().map(|p| lit(&xs, p)).collect();
+                s.add_clause_live(&lits, &mut th);
+                if c.len() == 1 {
+                    units.push(c[0]);
+                }
+                clauses.push(c);
+                dead |= units.iter().any(|&(i, pos)| s.value(xs[i]) != Some(pos));
+            }
+            got = s.resume_with_theory(&a, &mut th);
+            resumes += 1;
+        }
+        let mut fresh = Solver::new();
+        let fv = vars(&mut fresh, xs.len());
+        for c in &clauses {
+            let lits: Vec<Lit> = c.iter().map(|p| lit(&fv, p)).collect();
+            fresh.add_clause(&lits);
+        }
+        for (k, &i) in amo.iter().enumerate() {
+            for &j in &amo[k + 1..] {
+                fresh.add_clause(&[Lit::neg(fv[i]), Lit::neg(fv[j])]);
+            }
+        }
+        let fa: Vec<Lit> = assumps.iter().map(|p| lit(&fv, p)).collect();
+        let want = fresh.solve_with_assumptions(&fa);
+        assert_eq!(got, want, "case {case}: resumed vs fresh on {clauses:?}");
+        assert!(
+            !dead || want == SolveResult::Unsat,
+            "case {case}: a unit fact was lost from the trail"
+        );
+        if got == SolveResult::Sat {
+            for c in &clauses {
+                assert!(
+                    c.iter().any(|&(i, pos)| s.value(xs[i]) == Some(pos)),
+                    "case {case}: model violates {c:?}"
+                );
+            }
+            let on = amo
+                .iter()
+                .filter(|&&i| s.value(xs[i]) == Some(true))
+                .count();
+            assert!(on <= 1, "case {case}: theory model violates at-most-one");
+        }
+    }
+    assert!(resumes > 0);
 }

@@ -9,10 +9,8 @@
 //! classes: a function pattern matches a term if any member of the term's
 //! class has the right head symbol.
 
-use std::collections::{HashMap, HashSet};
-
 use pins_budget::Budget;
-use pins_logic::{Term, TermArena, TermId};
+use pins_logic::{FxHashMap, FxHashSet, Term, TermArena, TermId};
 
 use crate::euf::Euf;
 use crate::trigger::{head_of, Binding, CompiledAxiom, CompiledAxioms, Head};
@@ -37,8 +35,8 @@ impl Default for EmatchConfig {
 
 /// The e-graph's classes as the matcher sees them.
 struct Classes {
-    members: HashMap<u32, Vec<TermId>>,
-    root_of: HashMap<TermId, u32>,
+    members: FxHashMap<u32, Vec<TermId>>,
+    root_of: FxHashMap<TermId, u32>,
 }
 
 impl Classes {
@@ -60,21 +58,21 @@ pub fn ematch_round(
     arena: &mut TermArena,
     euf: &Euf,
     axioms: &CompiledAxioms,
-    done: &mut HashSet<(TermId, Vec<TermId>)>,
+    done: &mut FxHashSet<(TermId, Vec<TermId>)>,
     instances_so_far: usize,
     config: EmatchConfig,
     budget: &Budget,
 ) -> Vec<TermId> {
     // group registered terms by class
     let class_terms = euf.class_of_terms();
-    let mut members: HashMap<u32, Vec<TermId>> = HashMap::new();
+    let mut members: FxHashMap<u32, Vec<TermId>> = FxHashMap::default();
     for &(t, root) in &class_terms {
         members.entry(root).or_default().push(t);
     }
-    let root_of: HashMap<TermId, u32> = class_terms.iter().copied().collect();
+    let root_of: FxHashMap<TermId, u32> = class_terms.iter().copied().collect();
     // canonical representative per class: the smallest term id (stable as
     // ids only grow), so duplicate matches across members collapse
-    let repr: HashMap<u32, TermId> = members
+    let repr: FxHashMap<u32, TermId> = members
         .iter()
         .map(|(&root, terms)| (root, *terms.iter().min().unwrap()))
         .collect();
@@ -92,7 +90,7 @@ pub fn ematch_round(
     // head. Sorted, because seed order decides which matches land inside
     // the instance/branch caps and hash-map order would make the
     // instantiated set differ from process to process
-    let mut seeds: HashMap<Head, Vec<TermId>> = HashMap::new();
+    let mut seeds: FxHashMap<Head, Vec<TermId>> = FxHashMap::default();
     for &(t, root) in &class_terms {
         if let Some(head) = head_of(arena, t) {
             seeds.entry(head).or_default().push(repr[&root]);
@@ -136,7 +134,7 @@ pub fn ematch_round(
                     next.extend(branches);
                 }
             }
-            let mut seen = HashSet::new();
+            let mut seen = FxHashSet::default();
             next.retain(|b| seen.insert(b.clone()));
             partials = next;
             if partials.is_empty() {
@@ -265,7 +263,7 @@ mod tests {
         euf.merge(nv, nfw, 0);
         euf.close();
         let axioms = CompiledAxioms::compile(&arena, &[ax]);
-        let mut done = HashSet::new();
+        let mut done = FxHashSet::default();
         let out = ematch_round(
             &mut arena,
             &euf,

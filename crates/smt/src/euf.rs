@@ -8,16 +8,17 @@
 //! equalities force the clash, extracted from a Nieuwenhuis–Oliveras style
 //! proof forest.
 //!
-//! Every change made after registration — unions, use-list moves,
-//! signature-table entries, proof edges, disequalities — is logged, so
+//! Every change that depends on the current classes — unions, use-list
+//! moves, signature-table entries, proof edges, disequalities, and the
+//! seat a registered node takes in its children's classes — is logged, so
 //! [`Euf::undo_to`] restores any earlier [`Euf::mark`]. Union-find runs
 //! without path compression (union by rank keeps `find` logarithmic) so a
-//! union is undone by resetting one parent pointer. Terms are registered
-//! once and never unregistered; register them only at the base level.
+//! union is undone by resetting one parent pointer. Terms may be registered
+//! at any point and are never unregistered: a node registered after the
+//! mark an undo returns to keeps its id and is seated again in the classes
+//! that survive, which may queue congruences for the next [`Euf::close`].
 
-use std::collections::{HashMap, HashSet};
-
-use pins_logic::{Term, TermArena, TermId};
+use pins_logic::{FxHashMap, FxHashSet, Term, TermArena, TermId};
 
 /// Why two nodes were merged.
 #[derive(Debug, Clone, Copy)]
@@ -54,13 +55,16 @@ enum Undo {
     Sig(Signature),
     /// A disequality was pushed.
     Diseq,
+    /// Application node `node` was seated: pushed onto the use list of
+    /// each child's root, and its signature entered in the table if `sig`.
+    Seat { node: u32, sig: bool },
 }
 
 /// An undoable congruence-closure solver.
 #[derive(Debug, Default)]
 pub struct Euf {
     terms: Vec<TermId>,
-    node_of: HashMap<TermId, u32>,
+    node_of: FxHashMap<TermId, u32>,
     /// union-find parent (roots point to themselves)
     uf: Vec<u32>,
     rank: Vec<u32>,
@@ -71,7 +75,7 @@ pub struct Euf {
     /// per-node operator structure (None for leaves)
     #[allow(clippy::type_complexity)]
     sig_template: Vec<Option<((u8, u32), Vec<u32>)>>,
-    sig_table: HashMap<Signature, u32>,
+    sig_table: FxHashMap<Signature, u32>,
     /// per-root integer constant witness
     int_const: Vec<Option<(i64, u32)>>,
     pending: Vec<(u32, u32, Cause)>,
@@ -116,8 +120,10 @@ impl Euf {
         self.terms[n as usize]
     }
 
-    /// Registers `t` and its subterm DAG; returns its node. Registration is
-    /// not logged: call it only where the state is never undone.
+    /// Registers `t` and its subterm DAG; returns its node. The node keeps
+    /// its id for good; its seat in the current classes is logged (see the
+    /// module docs), and a congruence it completes is queued for
+    /// [`Euf::close`].
     pub fn add_term(&mut self, arena: &TermArena, t: TermId) -> u32 {
         if let Some(&n) = self.node_of.get(&t) {
             return n;
@@ -138,25 +144,62 @@ impl Euf {
             Term::IntConst(v) => Some((*v, n)),
             _ => None,
         });
-        self.sig_template.push(child_nodes.clone());
-        if let Some((op, kids)) = child_nodes {
-            for &k in &kids {
-                let rk = self.find(k);
-                self.use_list[rk as usize].push(n);
-            }
-            let sig = Signature {
-                op,
-                children: kids.iter().map(|&k| self.find(k)).collect(),
-            };
-            if let Some(&other) = self.sig_table.get(&sig) {
+        let app = child_nodes.is_some();
+        self.sig_template.push(child_nodes);
+        if app {
+            self.seat(n);
+        }
+        n
+    }
+
+    /// Seats application node `n` in the current classes: onto its
+    /// children's roots' use lists, and its signature into the table (or a
+    /// congruence with the node already there onto the queue).
+    fn seat(&mut self, n: u32) {
+        let Some((op, kids)) = &self.sig_template[n as usize] else {
+            return;
+        };
+        let sig = Signature {
+            op: *op,
+            children: kids.iter().map(|&k| self.find(k)).collect(),
+        };
+        for &r in &sig.children {
+            self.use_list[r as usize].push(n);
+        }
+        let inserted = match self.sig_table.get(&sig) {
+            Some(&other) => {
                 if self.find(other) != self.find(n) {
                     self.pending.push((n, other, Cause::Congruence(n, other)));
                 }
-            } else {
-                self.sig_table.insert(sig, n);
+                false
             }
+            None => {
+                self.sig_table.insert(sig, n);
+                true
+            }
+        };
+        self.undo.push(Undo::Seat {
+            node: n,
+            sig: inserted,
+        });
+    }
+
+    /// Reverts [`Euf::seat`]: every later change is undone, so the roots
+    /// are the ones `n` was seated under, and `n` is the last entry of each
+    /// use list it was pushed onto.
+    fn unseat(&mut self, n: u32, sig: bool) {
+        let (op, kids) = self.sig_template[n as usize].as_ref().expect("app node");
+        let key = Signature {
+            op: *op,
+            children: kids.iter().map(|&k| self.find(k)).collect(),
+        };
+        for &r in key.children.iter().rev() {
+            let popped = self.use_list[r as usize].pop();
+            debug_assert_eq!(popped, Some(n), "use list out of step with the undo log");
         }
-        n
+        if sig {
+            self.sig_table.remove(&key);
+        }
     }
 
     /// The class root of a node.
@@ -199,12 +242,15 @@ impl Euf {
         EufMark(self.undo.len())
     }
 
-    /// Reverts every change logged since `mark`, and drops queued merges.
+    /// Reverts every change logged since `mark` and drops queued merges,
+    /// then seats the nodes registered since `mark` again in the classes
+    /// that remain (which may queue congruences for [`Euf::close`]).
     pub fn undo_to(&mut self, mark: EufMark) {
         self.pending.clear();
         if self.clash.is_some_and(|c| c.2 >= mark.0) {
             self.clash = None;
         }
+        let mut unseated = Vec::new();
         while self.undo.len() > mark.0 {
             match self.undo.pop().expect("non-empty log") {
                 Undo::Union {
@@ -233,7 +279,14 @@ impl Euf {
                 Undo::Diseq => {
                     self.diseqs.pop();
                 }
+                Undo::Seat { node, sig } => {
+                    self.unseat(node, sig);
+                    unseated.push(node);
+                }
             }
+        }
+        for &n in unseated.iter().rev() {
+            self.seat(n);
         }
     }
 
@@ -331,6 +384,11 @@ impl Euf {
         self.use_list[winner as usize].extend(parents);
     }
 
+    /// Whether merges are queued for [`Euf::close`].
+    pub fn has_pending(&self) -> bool {
+        !self.pending.is_empty()
+    }
+
     /// Runs the closure over the queued merges.
     pub fn close(&mut self) {
         while let Some((a, b, cause)) = self.pending.pop() {
@@ -400,7 +458,7 @@ impl Euf {
     #[allow(clippy::needless_range_loop)]
     fn explain_pairs(&self, mut queue: Vec<(u32, u32)>) -> Vec<u32> {
         let mut tags = Vec::new();
-        let mut seen: HashSet<(u32, u32)> = HashSet::new();
+        let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
         while let Some((x, y)) = queue.pop() {
             if x == y || !seen.insert((x.min(y), x.max(y))) {
                 continue;
@@ -408,7 +466,7 @@ impl Euf {
             // collect proof paths to the common ancestor
             let px = self.proof_path(x);
             let py = self.proof_path(y);
-            let setx: HashMap<u32, usize> =
+            let setx: FxHashMap<u32, usize> =
                 px.iter().enumerate().map(|(i, &(n, _))| (n, i)).collect();
             let mut common = None;
             for (j, &(n, _)) in py.iter().enumerate() {

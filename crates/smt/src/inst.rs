@@ -12,10 +12,8 @@
 //! the ground terms with its own head, and each round indexes only the
 //! terms the previous round's instances added.
 
-use std::collections::{HashMap, HashSet};
-
 use pins_budget::{Budget, StopReason};
-use pins_logic::{Term, TermArena, TermId};
+use pins_logic::{FxHashMap, FxHashSet, Term, TermArena, TermId};
 
 use crate::trigger::{head_of, Binding, CompiledAxiom, CompiledAxioms, Head};
 
@@ -52,8 +50,8 @@ pub struct InstOutcome {
 /// The subterms seen so far, with the ground ones indexed by head.
 #[derive(Debug, Default)]
 struct Universe {
-    seen: HashSet<TermId>,
-    by_head: HashMap<Head, Vec<TermId>>,
+    seen: FxHashSet<TermId>,
+    by_head: FxHashMap<Head, Vec<TermId>>,
 }
 
 impl Universe {
@@ -103,7 +101,7 @@ pub fn instantiate(
     for &r in roots {
         universe.add(arena, r);
     }
-    let mut done: HashSet<(TermId, Vec<TermId>)> = HashSet::new();
+    let mut done: FxHashSet<(TermId, Vec<TermId>)> = FxHashSet::default();
 
     'rounds: for _round in 0..config.max_rounds {
         if let Err(reason) = budget.charge(1) {
@@ -522,7 +520,7 @@ mod tests {
         let root = arena.mk_lt(fp, fq);
         let mut expected = Vec::new();
         for (a, b) in [(p, p), (p, q), (q, p), (q, q)] {
-            let map = HashMap::from([(bx, a), (by, b)]);
+            let map: FxHashMap<_, _> = [(bx, a), (by, b)].into_iter().collect();
             expected.push(arena.substitute(body, &map));
         }
         let run = |arena: &mut TermArena, max_instances| {

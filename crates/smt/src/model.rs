@@ -8,10 +8,10 @@
 //! through [`Witness`], which turns a model into one concrete first-order
 //! interpretation and evaluates terms under it.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use pins_logic::{Sort, Symbol, Term, TermArena, TermId, BOUND_VERSION};
+use pins_logic::{FxHashMap, FxHashSet, Sort, Symbol, Term, TermArena, TermId, BOUND_VERSION};
 
 /// A first-order model over the terms that occurred in the checked formula.
 #[derive(Debug, Clone, Default)]
@@ -21,13 +21,13 @@ pub struct Model {
     /// grounded approximation only.
     pub complete: bool,
     /// Values of integer-sorted terms (opaque LIA atoms and constants).
-    pub ints: HashMap<TermId, i64>,
+    pub ints: FxHashMap<TermId, i64>,
     /// Truth values of boolean atoms.
-    pub bools: HashMap<TermId, bool>,
+    pub bools: FxHashMap<TermId, bool>,
     /// Per array-class representative: known (index, element) pairs.
-    pub arrays: HashMap<TermId, Vec<(i64, i64)>>,
+    pub arrays: FxHashMap<TermId, Vec<(i64, i64)>>,
     /// Uninterpreted-sort terms mapped to their class identifier.
-    pub unints: HashMap<TermId, u64>,
+    pub unints: FxHashMap<TermId, u64>,
 }
 
 impl Model {
@@ -49,13 +49,13 @@ impl Model {
 /// hypotheses. When both sides qualify, the later SSA version is defined.
 #[derive(Debug, Clone, Default)]
 pub struct Definitions {
-    defs: HashMap<TermId, TermId>,
+    defs: FxHashMap<TermId, TermId>,
 }
 
 impl Definitions {
     /// Collects the definitions among `hyps` (top-level `And`s flattened).
     pub fn of(arena: &TermArena, hyps: &[TermId]) -> Definitions {
-        let mut defs = HashMap::new();
+        let mut defs = FxHashMap::default();
         let mut stack: Vec<TermId> = hyps.iter().rev().copied().collect();
         while let Some(h) = stack.pop() {
             match arena.term(h) {
@@ -94,7 +94,7 @@ fn free_version(arena: &TermArena, t: TermId) -> Option<u32> {
 
 /// Whether `v` occurs in `t`.
 fn occurs(arena: &TermArena, v: TermId, t: TermId) -> bool {
-    let mut seen = HashSet::new();
+    let mut seen = FxHashSet::default();
     let mut stack = vec![t];
     while let Some(x) = stack.pop() {
         if x == v {
@@ -144,10 +144,10 @@ pub struct Witness<'a> {
     model: &'a Model,
     defs: &'a Definitions,
     /// Values of closed terms computed so far (`None`: undetermined).
-    memo: HashMap<TermId, Option<Val>>,
+    memo: FxHashMap<TermId, Option<Val>>,
     /// Defined variables whose definition is being evaluated; meeting one
     /// again is a definition cycle.
-    active: HashSet<TermId>,
+    active: FxHashSet<TermId>,
     /// Values of the quantifier-bound variables in scope, innermost last.
     bound: Vec<(Symbol, i64)>,
 }
@@ -160,8 +160,8 @@ impl<'a> Witness<'a> {
             arena,
             model,
             defs,
-            memo: HashMap::new(),
-            active: HashSet::new(),
+            memo: FxHashMap::default(),
+            active: FxHashSet::default(),
             bound: Vec::new(),
         }
     }

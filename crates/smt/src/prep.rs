@@ -2,9 +2,7 @@
 //! existentials (negated universals), in-place grounding hooks for positive
 //! universals, and elimination of non-boolean `ite` terms.
 
-use std::collections::HashMap;
-
-use pins_logic::{Sort, Term, TermArena, TermId, BOUND_VERSION};
+use pins_logic::{FxHashMap, Sort, Term, TermArena, TermId, BOUND_VERSION};
 
 /// The result of preprocessing one assertion.
 #[derive(Debug, Default)]
@@ -77,7 +75,7 @@ fn nnf(
         Term::Forall(vars, body) => {
             if negate {
                 // exists: skolemize with fresh constants
-                let mut map = HashMap::new();
+                let mut map = FxHashMap::default();
                 for (sym, sort) in &vars {
                     let name = format!("sk!{}", arena.symbols().name(*sym));
                     let fresh = arena.symbols_mut().fresh(&name);
@@ -109,7 +107,7 @@ fn nnf(
 /// Replaces non-boolean `ite` subterms by fresh variables, collecting the
 /// defining constraints.
 fn elim_ite(arena: &mut TermArena, t: TermId, defs: &mut Vec<TermId>) -> TermId {
-    let mut memo = HashMap::new();
+    let mut memo = FxHashMap::default();
     elim_rec(arena, t, defs, &mut memo)
 }
 
@@ -117,7 +115,7 @@ fn elim_rec(
     arena: &mut TermArena,
     t: TermId,
     defs: &mut Vec<TermId>,
-    memo: &mut HashMap<TermId, TermId>,
+    memo: &mut FxHashMap<TermId, TermId>,
 ) -> TermId {
     if let Some(&r) = memo.get(&t) {
         return r;

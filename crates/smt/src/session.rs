@@ -60,12 +60,11 @@
 //! hit ([`SessionStats::core_hits`]), resolves the core to the query's own
 //! slots, and adds no cache entry: the cache keeps one entry per solve.
 
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use pins_budget::{Budget, StopReason};
-use pins_logic::{TermArena, TermId};
+use pins_logic::{FxHashMap, TermArena, TermId};
 use pins_trace::{Counter, Histogram, MetricsRegistry, Phase, ProvenanceCtx, PHASES};
 
 use crate::solver::{Smt, SmtConfig, SmtResult, TrackedCore};
@@ -246,15 +245,15 @@ struct StructuralSeen {
 #[derive(Debug, Default)]
 struct ForensicsIndex {
     /// Structural key (config-independent) → what was seen there.
-    structural: HashMap<u128, StructuralSeen>,
+    structural: FxHashMap<u128, StructuralSeen>,
     /// Assertion fingerprint → structural keys containing it (each list
     /// capped at [`INVERTED_CAP`]): the near-miss voting index.
-    inverted: HashMap<u128, Vec<u128>>,
+    inverted: FxHashMap<u128, Vec<u128>>,
 }
 
 /// The core index: (scope, smallest member fingerprint) → the distinct
 /// unsat cores anchored there.
-type CoreIndex = HashMap<(u128, u128), Vec<Arc<CachedCore>>>;
+type CoreIndex = FxHashMap<(u128, u128), Vec<Arc<CachedCore>>>;
 
 /// Whether every element of sorted `sub` occurs in sorted `set`.
 fn is_sorted_subset(sub: &[u128], set: &[u128]) -> bool {
@@ -274,7 +273,7 @@ fn is_sorted_subset(sub: &[u128], set: &[u128]) -> bool {
 /// session that asked ([`SessionStats`]).
 #[derive(Debug, Default)]
 pub struct QueryCache {
-    map: Mutex<HashMap<u128, CacheEntry>>,
+    map: Mutex<FxHashMap<u128, CacheEntry>>,
     cores: Mutex<CoreIndex>,
     forensics: Mutex<ForensicsIndex>,
 }
@@ -350,7 +349,7 @@ impl QueryCache {
         }
         // near-miss vote: count shared assertions per candidate structural
         // key through the inverted index, then take the smallest delta
-        let mut shared: HashMap<u128, usize> = HashMap::new();
+        let mut shared: FxHashMap<u128, usize> = FxHashMap::default();
         for fp in sorted_fps {
             if let Some(keys) = f.inverted.get(fp) {
                 for &k in keys {

@@ -12,9 +12,10 @@
 //! limit, cancellation, or overflow surfaces as [`Conflict::Stopped`]
 //! rather than a hang or a panic.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use pins_budget::{Budget, StopReason};
+use pins_logic::FxHashMap;
 
 use crate::rational::Rat;
 
@@ -128,7 +129,7 @@ pub struct Lia {
     /// var -> rows it occurs in while non-basic
     col: Vec<Vec<usize>>,
     /// memo: normalised expression -> slack var
-    slack_of: HashMap<Vec<(usize, i64)>, usize>,
+    slack_of: FxHashMap<Vec<(usize, i64)>, usize>,
     /// var -> gcd of the integer coefficients defining it (0: not a slack);
     /// a slack's bounds round inward to multiples of it
     gcd: Vec<u128>,
@@ -208,7 +209,7 @@ impl Lia {
             return Ok(s);
         }
         // express the row over non-basic variables only
-        let mut acc: HashMap<usize, Rat> = HashMap::new();
+        let mut acc: FxHashMap<usize, Rat> = FxHashMap::default();
         for &(v, c) in &key {
             let c = Rat::from_int(c);
             if let Some(r) = self.row_of[v] {

@@ -3,13 +3,14 @@
 //! trail and that explains its conflicts back as clauses, and a final check
 //! at full assignments that adds lemmas on demand (array read-over-write,
 //! integer disequality splits, e-matching instances, model-based theory
-//! combination) or builds the model.
+//! combination) or builds the model. Lemmas and new atoms join the live
+//! search: their clauses are attached at the trail the final check saw,
+//! their atoms are recorded at its level, and the same search resumes.
 
-use std::collections::{HashMap, HashSet};
 use std::time::{Duration, Instant};
 
 use pins_budget::{Budget, StopReason};
-use pins_logic::{Sort, Term, TermArena, TermId};
+use pins_logic::{FxHashMap, FxHashSet, Sort, Term, TermArena, TermId};
 use pins_sat::{Lit, SolveResult, Solver as SatSolver, Var};
 
 use crate::ematch::{ematch_round, EmatchConfig};
@@ -110,7 +111,8 @@ impl SmtResult {
 /// Counters for the instrumentation PINS reports in Table 4.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SmtStats {
-    /// CDCL search calls: one per final-check round.
+    /// CDCL search calls: the first search of a check plus one resumption
+    /// per final-check round that added lemmas or atoms.
     pub sat_rounds: u64,
     /// Theory conflicts fed back to CDCL as clauses.
     pub theory_conflicts: u64,
@@ -136,6 +138,10 @@ pub struct SmtStats {
     pub lia_time: Duration,
     /// Time in congruence-aware e-matching rounds.
     pub ematch_time: Duration,
+    /// Wall time of the rounds after the first: from the first final check
+    /// that added lemmas or atoms to the end of the check (a slice of the
+    /// per-pass times above, not an extra pass).
+    pub resume_time: Duration,
 }
 
 /// What the final check made of a full assignment.
@@ -167,8 +173,8 @@ pub struct TrackedCore {
 pub struct Smt {
     config: SmtConfig,
     sat: SatSolver,
-    lit_of: HashMap<TermId, Lit>,
-    atom_var: HashMap<TermId, Var>,
+    lit_of: FxHashMap<TermId, Lit>,
+    atom_var: FxHashMap<TermId, Var>,
     var_atoms: Vec<(TermId, Var)>,
     /// Ground roots to assert, each with the provenance id of the tracked
     /// assert it came from (`None` = hard, untracked).
@@ -184,10 +190,14 @@ pub struct Smt {
     last_core: Option<TrackedCore>,
     exact: bool,
     true_lit: Option<Lit>,
-    diseq_split: HashSet<TermId>,
-    array_done: HashSet<(TermId, TermId)>,
-    mbtc_done: HashSet<(TermId, TermId)>,
-    ematch_done: HashSet<(TermId, Vec<TermId>)>,
+    /// Clauses encoded but not yet handed to the SAT solver, flattened:
+    /// `out_ends[k]` is where clause `k` ends in `out_lits`.
+    out_lits: Vec<Lit>,
+    out_ends: Vec<usize>,
+    diseq_split: FxHashSet<TermId>,
+    array_done: FxHashSet<(TermId, TermId)>,
+    mbtc_done: FxHashSet<(TermId, TermId)>,
+    ematch_done: FxHashSet<(TermId, Vec<TermId>)>,
     ematch_count: usize,
     /// Shared budget; `check` layers the config's per-query limits on top.
     budget: Budget,
@@ -201,8 +211,8 @@ impl Smt {
         Smt {
             config,
             sat: SatSolver::new(),
-            lit_of: HashMap::new(),
-            atom_var: HashMap::new(),
+            lit_of: FxHashMap::default(),
+            atom_var: FxHashMap::default(),
             var_atoms: Vec::new(),
             ground: Vec::new(),
             axioms: CompiledAxioms::default(),
@@ -211,10 +221,12 @@ impl Smt {
             last_core: None,
             exact: true,
             true_lit: None,
-            diseq_split: HashSet::new(),
-            array_done: HashSet::new(),
-            mbtc_done: HashSet::new(),
-            ematch_done: HashSet::new(),
+            out_lits: Vec::new(),
+            out_ends: Vec::new(),
+            diseq_split: FxHashSet::default(),
+            array_done: FxHashSet::default(),
+            mbtc_done: FxHashSet::default(),
+            ematch_done: FxHashSet::default(),
             ematch_count: 0,
             budget: Budget::unlimited(),
             stats: SmtStats::default(),
@@ -314,10 +326,10 @@ impl Smt {
                 let lb = self.encode(arena, b);
                 let v = self.sat.new_var();
                 let lv = Lit::pos(v);
-                self.sat.add_clause(&[!lv, !la, lb]);
-                self.sat.add_clause(&[!lv, la, !lb]);
-                self.sat.add_clause(&[lv, la, lb]);
-                self.sat.add_clause(&[lv, !la, !lb]);
+                self.emit(&[!lv, !la, lb]);
+                self.emit(&[!lv, la, !lb]);
+                self.emit(&[lv, la, lb]);
+                self.emit(&[lv, !la, !lb]);
                 lv
             }
             Term::Eq(..) | Term::Le(..) | Term::Lt(..) => self.atom_lit(t),
@@ -335,10 +347,10 @@ impl Smt {
                 let lv = Lit::pos(v);
                 let mut back = vec![lv];
                 for &l in &lits {
-                    self.sat.add_clause(&[!lv, l]);
+                    self.emit(&[!lv, l]);
                     back.push(!l);
                 }
-                self.sat.add_clause(&back);
+                self.emit(&back);
                 lv
             }
             Term::Or(kids) => {
@@ -347,10 +359,10 @@ impl Smt {
                 let lv = Lit::pos(v);
                 let mut fwd = vec![!lv];
                 for &l in &lits {
-                    self.sat.add_clause(&[lv, !l]);
+                    self.emit(&[lv, !l]);
                     fwd.push(l);
                 }
-                self.sat.add_clause(&fwd);
+                self.emit(&fwd);
                 lv
             }
             Term::Forall(..) => {
@@ -364,9 +376,51 @@ impl Smt {
         lit
     }
 
+    /// Queues a clause for [`Smt::flush`].
+    fn emit(&mut self, lits: &[Lit]) {
+        self.out_lits.extend_from_slice(lits);
+        self.out_ends.push(self.out_lits.len());
+    }
+
+    /// Hands the queued clauses to the SAT solver: at level 0 before the
+    /// first search, at the live trail (`th`) after a final check.
+    fn flush(&mut self, mut th: Option<&mut TheoryState>) {
+        let mut start = 0;
+        for &end in &self.out_ends {
+            let c = &self.out_lits[start..end];
+            match th.as_deref_mut() {
+                Some(th) => self.sat.add_clause_live(c, th),
+                None => {
+                    self.sat.add_clause(c);
+                }
+            }
+            start = end;
+        }
+        self.out_lits.clear();
+        self.out_ends.clear();
+    }
+
+    /// Encodes a ground root and queues it as a unit clause.
     fn assert_root(&mut self, arena: &mut TermArena, t: TermId) {
         let l = self.encode(arena, t);
-        self.sat.add_clause(&[l]);
+        self.emit(&[l]);
+    }
+
+    /// Queues a lemma or instance root as clauses of its own literals: one
+    /// clause of its top-level disjuncts, or one per top-level conjunct.
+    fn assert_lemma(&mut self, arena: &mut TermArena, t: TermId) {
+        match arena.term(t).clone() {
+            Term::And(kids) => {
+                for k in kids {
+                    self.assert_lemma(arena, k);
+                }
+            }
+            Term::Or(kids) => {
+                let lits: Vec<Lit> = kids.iter().map(|&k| self.encode(arena, k)).collect();
+                self.emit(&lits);
+            }
+            _ => self.assert_root(arena, t),
+        }
     }
 
     /// The selector literal guarding the tracked assert `prov`, allocated on
@@ -474,6 +528,7 @@ impl Smt {
             span.record_u64("euf_us", us(now.euf_time, then.euf_time));
             span.record_u64("lia_us", us(now.lia_time, then.lia_time));
             span.record_u64("ematch_us", us(now.ematch_time, then.ematch_time));
+            span.record_u64("resume_us", us(now.resume_time, then.resume_time));
         }
         result
     }
@@ -514,11 +569,15 @@ impl Smt {
                     // required while its selector is assumed true
                     let s = self.selector(p);
                     let l = self.encode(arena, g);
-                    self.sat.add_clause(&[!s, l]);
+                    self.emit(&[!s, l]);
                 }
                 _ => self.assert_root(arena, g),
             }
+            self.flush(None);
         }
+        // lemmas encoded mid-search may fold to a constant: the true
+        // literal must be a level-0 fact before the search starts
+        self.true_lit();
         let sels: Vec<Lit> = self.selectors.iter().map(|&(_, l)| l).collect();
         // the theory state lives for this check: atoms are compiled once,
         // and lemma rounds only add to it
@@ -526,20 +585,26 @@ impl Smt {
         th.record_atoms(arena, &self.var_atoms);
         self.stats.prep_time += t_prep.elapsed();
 
-        let result = self.search_rounds(arena, &mut th, &sels, budget);
+        let mut resumed = None;
+        let result = self.search_rounds(arena, &mut th, &sels, budget, &mut resumed);
+        if let Some(t) = resumed {
+            self.stats.resume_time += t.elapsed();
+        }
         self.stats.formula_size = self.sat.formula_size();
         result
     }
 
-    /// The final-check rounds of [`Smt::check`]: each runs one CDCL search
-    /// modulo the theory state; a full assignment the final check extends
-    /// with lemmas or atoms starts the next round.
+    /// The final-check rounds of [`Smt::check`]: one CDCL search modulo the
+    /// theory state, resumed from the live trail after every final check
+    /// that extends the full assignment with lemmas or atoms (`resumed`
+    /// holds when the first of those final checks ended).
     fn search_rounds(
         &mut self,
         arena: &mut TermArena,
         th: &mut TheoryState,
         sels: &[Lit],
         budget: &Budget,
+        resumed: &mut Option<Instant>,
     ) -> SmtResult {
         let mut recorded = self.var_atoms.len();
         for _round in 0..self.config.max_theory_rounds {
@@ -549,7 +614,11 @@ impl Smt {
             self.stats.sat_rounds += 1;
             let before = th.times;
             let t_sat = Instant::now();
-            let sat_verdict = self.sat.solve_with_theory(sels, th);
+            let sat_verdict = if resumed.is_some() {
+                self.sat.resume_with_theory(sels, th)
+            } else {
+                self.sat.solve_with_theory(sels, th)
+            };
             let spent = t_sat.elapsed();
             self.note_theory(before, th.times, spent);
             match sat_verdict {
@@ -577,14 +646,18 @@ impl Smt {
                                 ]
                             });
                         }
-                        self.sat.backtrack_theory(th);
+                        resumed.get_or_insert_with(Instant::now);
+                        // lemma clauses join the live trail (backjumping only
+                        // as far as each requires); new atoms are recorded at
+                        // the level the trail lands on, and SAT decides them
+                        let t_rec = Instant::now();
                         for lem in lemmas {
-                            self.assert_root(arena, lem);
+                            self.assert_lemma(arena, lem);
                         }
                         for a in atoms {
-                            let _ = self.atom_lit(a); // register; SAT decides it
+                            let _ = self.atom_lit(a);
                         }
-                        let t_rec = Instant::now();
+                        self.flush(Some(th));
                         th.record_atoms(arena, &self.var_atoms[recorded..]);
                         recorded = self.var_atoms.len();
                         self.stats.prep_time += t_rec.elapsed();
@@ -731,8 +804,8 @@ impl Smt {
         const SLOT_APP_BASE: u64 = 3;
         let mut shared: Vec<(u64, i64, TermId)> = Vec::new();
         {
-            let mut seen = HashSet::new();
-            let mut add = |arena: &TermArena, slot: u64, k: TermId, seen: &mut HashSet<_>| {
+            let mut seen = FxHashSet::default();
+            let mut add = |arena: &TermArena, slot: u64, k: TermId, seen: &mut FxHashSet<_>| {
                 if arena.sort(k).is_int() && seen.insert((slot, k)) {
                     if let Some(v) = eval_int(arena, k, lvar, lia) {
                         shared.push((slot, v, k));
@@ -821,7 +894,7 @@ impl Smt {
             model.bools.insert(atom, self.sat.value(v).unwrap_or(false));
         }
         // array contents: group sel values under each array-variable class
-        let mut arrays: HashMap<u32, Vec<(i64, i64)>> = HashMap::new();
+        let mut arrays: FxHashMap<u32, Vec<(i64, i64)>> = FxHashMap::default();
         for &(s, a, i) in &th.sels {
             if let (Some(root), Some(&sv)) = (euf.root_of(a), lvar.get(&s)) {
                 let idx = eval_lin(arena, i, lvar, lia);
@@ -856,7 +929,12 @@ impl Smt {
 /// applications — read the assignment through their linear form. Model-based
 /// theory combination must use this view, because the independent model
 /// evaluation it guards against computes products the same way.
-fn eval_int(arena: &TermArena, t: TermId, lvar: &HashMap<TermId, usize>, lia: &Lia) -> Option<i64> {
+fn eval_int(
+    arena: &TermArena,
+    t: TermId,
+    lvar: &FxHashMap<TermId, usize>,
+    lia: &Lia,
+) -> Option<i64> {
     match arena.term(t) {
         Term::IntConst(v) => Some(*v),
         Term::Add(a, b) => {
@@ -876,7 +954,12 @@ fn eval_int(arena: &TermArena, t: TermId, lvar: &HashMap<TermId, usize>, lia: &L
 }
 
 /// Evaluates an integer term's linear form under the LIA assignment.
-fn eval_lin(arena: &TermArena, t: TermId, lvar: &HashMap<TermId, usize>, lia: &Lia) -> Option<i64> {
+fn eval_lin(
+    arena: &TermArena,
+    t: TermId,
+    lvar: &FxHashMap<TermId, usize>,
+    lia: &Lia,
+) -> Option<i64> {
     let e = linearize(arena, t);
     if e.overflowed {
         return None;

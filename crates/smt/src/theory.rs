@@ -5,23 +5,27 @@
 //! Atoms are compiled once, when they are recorded: each equality gets its
 //! congruence-closure nodes, each arithmetic atom the simplex bound each
 //! polarity stands for (one slack row per distinct linear form, sign
-//! normalized so `e <= k` and `-e <= k'` share a row). At every propagation
-//! fixpoint the state asserts the new trail literals — one checkpoint per
-//! theory literal — closes congruence, mirrors every new union of integer
-//! classes into the simplex as a pair of trailed bounds, and checks
-//! disequalities and rational feasibility. A conflict goes back to CDCL as
-//! a clause over the trail literals that explain it. A backtrack restores
-//! the checkpoint of the first literal it removed; the simplex keeps its
-//! assignment as the next warm start. The final check at a full assignment
-//! runs branch-and-bound; the remaining final-check work (lemmas,
-//! e-matching, theory combination, the model) needs the term arena and is
-//! done by the solver on this live state.
+//! normalized so `e <= k` and `-e <= k'` share a row). Atoms may be recorded
+//! at any decision level: node ids, linear views, `sel`/`upd` lists, simplex
+//! variables, slack rows (definitions) and compiled atoms persist, and only
+//! a node's seat in the current congruence classes is undone and redone by
+//! a backtrack (see [`crate::euf`]). At every propagation fixpoint the state
+//! first closes the congruences that registrations and re-seated nodes
+//! queued, then asserts the new trail literals — one checkpoint per theory
+//! literal — closes congruence, mirrors every new union of integer classes
+//! into the simplex as a pair of trailed bounds, and checks disequalities
+//! and rational feasibility. A conflict goes back to CDCL as a clause over
+//! the trail literals that explain it (at level 0, an empty clause). A
+//! backtrack restores the checkpoint of the first literal it removed; the
+//! simplex keeps its assignment as the next warm start. The final check at
+//! a full assignment runs branch-and-bound; the remaining final-check work
+//! (lemmas, e-matching, theory combination, the model) needs the term arena
+//! and is done by the solver on this live state.
 
-use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
 use pins_budget::{Budget, StopReason};
-use pins_logic::{Term, TermArena, TermId};
+use pins_logic::{FxHashMap, Term, TermArena, TermId};
 use pins_sat::{Lit, Theory, TheoryConflict, Var};
 
 use crate::euf::{Euf, EufMark};
@@ -95,7 +99,7 @@ pub(crate) struct TheoryState {
     pub euf: Euf,
     pub lia: Lia,
     /// Simplex variable of each opaque integer term.
-    pub lvar: HashMap<TermId, usize>,
+    pub lvar: FxHashMap<TermId, usize>,
     /// Registered `sel` nodes as `(term, array, index)`.
     pub sels: Vec<(TermId, TermId, TermId)>,
     /// Registered `upd` nodes as `(term, array, index, value)`.
@@ -105,15 +109,13 @@ pub(crate) struct TheoryState {
     pub times: TheoryTimes,
     atoms: Vec<Option<Atom>>,
     node_lin: Vec<Option<Lin>>,
-    merge_bounds: HashMap<(u32, u32), [Bound; 2]>,
+    merge_bounds: FxHashMap<(u32, u32), [Bound; 2]>,
     tt: Option<u32>,
     /// Trail literals already asserted.
     seen: usize,
     checkpoints: Vec<Checkpoint>,
     /// Unions already mirrored into the simplex.
     synced: usize,
-    /// A conflict among base-level facts found while recording atoms.
-    base_conflict: Option<TheoryConflict>,
     budget: Budget,
     bb_depth: u32,
 }
@@ -125,27 +127,25 @@ impl TheoryState {
         TheoryState {
             euf: Euf::new(),
             lia,
-            lvar: HashMap::new(),
+            lvar: FxHashMap::default(),
             sels: Vec::new(),
             upds: Vec::new(),
             int_incomplete: false,
             times: TheoryTimes::default(),
             atoms: Vec::new(),
             node_lin: Vec::new(),
-            merge_bounds: HashMap::new(),
+            merge_bounds: FxHashMap::default(),
             tt: None,
             seen: 0,
             checkpoints: Vec::new(),
             synced: 0,
-            base_conflict: None,
             budget,
             bb_depth,
         }
     }
 
-    /// Compiles the atoms behind SAT variables. Call only at the base level
-    /// (no theory literal above level 0 asserted): registration is not
-    /// undone.
+    /// Compiles the atoms behind SAT variables, at any decision level. The
+    /// congruences new terms complete are closed at the next `propagate`.
     pub fn record_atoms(&mut self, arena: &mut TermArena, atoms: &[(TermId, Var)]) {
         for &(t, v) in atoms {
             let atom = match arena.term(t).clone() {
@@ -181,10 +181,6 @@ impl TheoryState {
                 self.atoms.resize(i + 1, None);
             }
             self.atoms[i] = atom;
-        }
-        // congruences among the new terms hold at the base level
-        if self.base_conflict.is_none() {
-            self.base_conflict = self.settle().err();
         }
     }
 
@@ -297,10 +293,16 @@ impl TheoryState {
             }
             terms => {
                 let flip = terms[0].1 < 0;
-                let key: Vec<(usize, i64)> = if flip {
-                    terms.iter().map(|&(v, c)| (v, -c)).collect()
+                let key: Option<Vec<(usize, i64)>> = if flip {
+                    terms
+                        .iter()
+                        .map(|&(v, c)| c.checked_neg().map(|n| (v, n)))
+                        .collect()
                 } else {
-                    terms.to_vec()
+                    Some(terms.to_vec())
+                };
+                let Some(key) = key else {
+                    return Bound::Overflow;
                 };
                 match self.lia.slack_for(&key) {
                     Ok(s) if flip => Bound::Lower(s, Rat::from_int128(-k)),
@@ -367,13 +369,6 @@ impl TheoryState {
             }
         }
         Ok(())
-    }
-
-    /// Brings the base level to a fixpoint after recording atoms.
-    fn settle(&mut self) -> Result<(), TheoryConflict> {
-        let out = self.sync();
-        let out = out.and_then(|()| self.euf.check().map_err(Conflict::Infeasible));
-        out.map_err(|c| self.conflict(c))
     }
 
     /// Turns a theory conflict into a CDCL clause (or a stop), expanding
@@ -449,8 +444,15 @@ fn negate(lin: &Lin) -> Lin {
 
 impl Theory for TheoryState {
     fn propagate(&mut self, trail: &[Lit]) -> Result<(), TheoryConflict> {
-        if let Some(c) = &self.base_conflict {
-            return Err(c.clone());
+        // congruences queued by new registrations and re-seated nodes hold
+        // at the current level, before any new literal
+        if self.euf.has_pending() {
+            let t0 = Instant::now();
+            let queued = self.sync();
+            self.times.euf += t0.elapsed();
+            if let Err(c) = queued {
+                return Err(self.conflict(c));
+            }
         }
         if let Err(c) = self.assert_new(trail) {
             return Err(self.conflict(c));
@@ -584,24 +586,28 @@ mod tests {
         }
     }
 
-    /// Random assert / new-level / backtrack sequences: after every step the
-    /// live state's verdict equals that of a fresh state given only the
-    /// literals on the trail, and every conflict clause's literals are
-    /// inconsistent on their own.
+    /// Random assert / new-level / backtrack / record sequences: after every
+    /// step the live state's verdict equals that of a fresh state given the
+    /// atoms recorded so far and only the literals on the trail, and every
+    /// conflict clause's literals are inconsistent on their own. Most atoms
+    /// are recorded mid-sequence, at whatever level the trail is on, so
+    /// backtracks cut below their registration and re-seat their nodes.
     #[test]
     fn live_state_agrees_with_fresh_state_under_backtracking() {
         let mut conflicts = 0;
+        let mut late = 0;
         for case in 0..cases(300, 5000) {
             let mut rng = SplitMix64::new(0x7e0_0000 + case as u64);
             let mut arena = TermArena::new();
-            let pool = atom_pool(&mut arena, &mut rng, 14);
+            let pool = atom_pool(&mut arena, &mut rng, 18);
             let mut sat = pins_sat::Solver::new();
             let atoms: Vec<(TermId, Var)> = pool.iter().map(|&t| (t, sat.new_var())).collect();
-            let mut live = fresh(&mut arena, &atoms);
+            let mut recorded = 6;
+            let mut live = fresh(&mut arena, &atoms[..recorded]);
             let mut trail: Vec<Lit> = Vec::new();
             let mut levels: Vec<usize> = Vec::new();
-            for _step in 0..40 {
-                match rng.gen_index(6) {
+            for _step in 0..50 {
+                match rng.gen_index(7) {
                     0 => levels.push(trail.len()),
                     1 if !levels.is_empty() => {
                         let to = rng.gen_index(levels.len());
@@ -609,8 +615,14 @@ mod tests {
                         levels.truncate(to);
                         live.backtrack(trail.len());
                     }
+                    2 if recorded < atoms.len() => {
+                        let n = (1 + rng.gen_index(3)).min(atoms.len() - recorded);
+                        live.record_atoms(&mut arena, &atoms[recorded..recorded + n]);
+                        recorded += n;
+                        late += usize::from(!trail.is_empty());
+                    }
                     _ => {
-                        let free: Vec<Var> = atoms
+                        let free: Vec<Var> = atoms[..recorded]
                             .iter()
                             .map(|&(_, v)| v)
                             .filter(|&v| trail.iter().all(|l| l.var() != v))
@@ -622,11 +634,12 @@ mod tests {
                         trail.push(Lit::new(v, rng.gen_bool(0.5)));
                     }
                 }
+                let known = &atoms[..recorded];
                 // a conflict is resolved the way CDCL would: by taking
                 // literals back until the trail is consistent again
                 loop {
                     let got = verdict(&mut live, &trail);
-                    let want = verdict(&mut fresh(&mut arena, &atoms), &trail);
+                    let want = verdict(&mut fresh(&mut arena, known), &trail);
                     match (&got, &want) {
                         (Ok(true), Err(_)) | (Err(_), Ok(true)) => {
                             panic!("case {case}: live {got:?} vs fresh {want:?} on {trail:?}")
@@ -641,9 +654,12 @@ mod tests {
                         "case {case}: explanation {expl:?} not on the trail {trail:?}"
                     );
                     assert!(
-                        !matches!(verdict(&mut fresh(&mut arena, &atoms), &expl), Ok(true)),
+                        !matches!(verdict(&mut fresh(&mut arena, known), &expl), Ok(true)),
                         "case {case}: explanation {expl:?} is consistent on its own"
                     );
+                    if trail.is_empty() {
+                        break; // the recorded atoms clash on their own
+                    }
                     trail.pop();
                     levels.retain(|&l| l <= trail.len());
                     live.backtrack(trail.len());
@@ -651,5 +667,64 @@ mod tests {
             }
         }
         assert!(conflicts > 0, "the generator never produced a conflict");
+        assert!(late > 0, "no atom was recorded above the base level");
+    }
+
+    /// A sign-flipped linear form with an `i64::MIN` coefficient has no
+    /// negation: the atom degrades the query instead of wrapping (or, in a
+    /// debug build, panicking).
+    #[test]
+    fn unnegatable_coefficient_degrades_to_overflow() {
+        let mut arena = TermArena::new();
+        let (xs, ys) = (arena.sym("x"), arena.sym("y"));
+        let (x, y) = (
+            arena.mk_var(xs, 0, Sort::Int),
+            arena.mk_var(ys, 0, Sort::Int),
+        );
+        let (zero, min) = (arena.mk_int(0), arena.mk_int(i64::MIN));
+        // `x = 0` is recorded first, so `x` takes the lower simplex variable
+        // and leads the form `-x + MIN*y` with a negative coefficient
+        let x0 = arena.mk_eq(x, zero);
+        let my = arena.mk_mul(min, y);
+        let lhs = arena.mk_sub(my, x);
+        let atom = arena.mk_le(lhs, zero);
+        let mut sat = pins_sat::Solver::new();
+        let (v0, v1) = (sat.new_var(), sat.new_var());
+        let mut th = fresh(&mut arena, &[(x0, v0), (atom, v1)]);
+        assert_eq!(
+            th.propagate(&[Lit::pos(v1)]),
+            Err(TheoryConflict::Stop(StopReason::Overflow))
+        );
+    }
+
+    /// Terms registered above a checkpoint and congruent there are seated
+    /// again when a backtrack removes the equality behind the congruence,
+    /// and the congruence is found again once the equality comes back.
+    #[test]
+    fn congruence_among_reseated_nodes_is_found_again() {
+        let mut arena = TermArena::new();
+        let (xs, ys) = (arena.sym("x"), arena.sym("y"));
+        let (x, y) = (
+            arena.mk_var(xs, 0, Sort::Int),
+            arena.mk_var(ys, 0, Sort::Int),
+        );
+        let f = arena.declare_fun("f", vec![Sort::Int], Sort::Int);
+        let (fx, fy) = (arena.mk_app(f, vec![x]), arena.mk_app(f, vec![y]));
+        let xy = arena.mk_eq(x, y);
+        let fxy = arena.mk_eq(fx, fy);
+        let mut sat = pins_sat::Solver::new();
+        let (v0, v1) = (sat.new_var(), sat.new_var());
+        let mut th = fresh(&mut arena, &[(xy, v0)]);
+        let eq = Lit::pos(v0);
+        assert_eq!(verdict(&mut th, &[eq]), Ok(true));
+        // f(x) and f(y) are registered while x = y holds: congruent at once
+        th.record_atoms(&mut arena, &[(fxy, v1)]);
+        let diseq = Lit::neg(v1);
+        assert_eq!(verdict(&mut th, &[eq, diseq]), Err(vec![!eq, !diseq]));
+        // below x = y they are apart ...
+        th.backtrack(0);
+        assert_eq!(verdict(&mut th, &[diseq]), Ok(true));
+        // ... and congruent again once it is back
+        assert_eq!(verdict(&mut th, &[diseq, eq]), Err(vec![!eq, !diseq]));
     }
 }

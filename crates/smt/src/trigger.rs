@@ -8,9 +8,9 @@
 //! own head, so both passes look candidates up by [`Head`] instead of
 //! trying every term.
 
-use std::collections::{HashMap, HashSet};
-
-use pins_logic::{collect_subterms, Symbol, Term, TermArena, TermId, BOUND_VERSION};
+use pins_logic::{
+    collect_subterms, FxHashMap, FxHashSet, Symbol, Term, TermArena, TermId, BOUND_VERSION,
+};
 
 /// The head symbol of a term a trigger can match: an uninterpreted
 /// application of a given arity, an array read or an array write.
@@ -73,7 +73,7 @@ impl CompiledAxiom {
             return out;
         };
         out.body = *body;
-        let mut subs = HashSet::new();
+        let mut subs = FxHashSet::default();
         collect_subterms(arena, out.body, &mut subs);
         // the axiom's own bound variables, found in its body rather than
         // interned: a declared variable missing from the body leaves the
@@ -101,9 +101,9 @@ impl CompiledAxiom {
         }
         // pattern variables: the axiom's own plus any bound by a nested
         // quantifier inside a trigger, which matching binds as well
-        let mut vars = HashSet::new();
+        let mut vars = FxHashSet::default();
         for &p in &pats {
-            let mut inner = HashSet::new();
+            let mut inner = FxHashSet::default();
             collect_subterms(arena, p, &mut inner);
             vars.extend(inner.into_iter().filter(|&s| is_bound_var(arena, s)));
         }
@@ -144,7 +144,7 @@ impl CompiledAxiom {
 
     /// The body instantiated under a complete binding.
     pub fn instance(&self, arena: &mut TermArena, b: &Binding) -> TermId {
-        let map: HashMap<TermId, TermId> = self
+        let map: FxHashMap<TermId, TermId> = self
             .vars
             .iter()
             .zip(b)
@@ -209,13 +209,13 @@ impl CompiledAxioms {
 /// `subs`: the smallest application subterm covering all of `bound`;
 /// otherwise a greedy set of application subterms jointly covering them;
 /// otherwise none.
-fn select_triggers(arena: &TermArena, subs: &HashSet<TermId>, bound: &[TermId]) -> Vec<TermId> {
+fn select_triggers(arena: &TermArena, subs: &FxHashSet<TermId>, bound: &[TermId]) -> Vec<TermId> {
     let mut candidates: Vec<(TermId, Vec<TermId>, usize)> = Vec::new();
     for &s in subs {
         if head_of(arena, s).is_none() {
             continue;
         }
-        let mut inner = HashSet::new();
+        let mut inner = FxHashSet::default();
         collect_subterms(arena, s, &mut inner);
         let vars: Vec<TermId> = bound
             .iter()
@@ -237,7 +237,7 @@ fn select_triggers(arena: &TermArena, subs: &HashSet<TermId>, bound: &[TermId]) 
     }
     // greedy cover
     let mut chosen = Vec::new();
-    let mut covered: HashSet<TermId> = HashSet::new();
+    let mut covered: FxHashSet<TermId> = FxHashSet::default();
     for (s, vars, _) in &candidates {
         if !vars.iter().all(|v| covered.contains(v)) {
             chosen.push(*s);

@@ -2,10 +2,10 @@
 //! maps, tracking hole occurrences exactly as in Figure 3 of the paper
 //! (an unknown evaluated under version map `V` becomes the pair `(hole, V)`).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use pins_ir::{CmpOp, EHoleId, Expr, PHoleId, Pred, Program, Type, VarId};
-use pins_logic::{Sort, Symbol, TermArena, TermId};
+use pins_logic::{FxHashMap, Sort, Symbol, TermArena, TermId};
 
 /// A version map `V`: SSA-style version per variable (absent = version 0).
 pub type VersionMap = BTreeMap<VarId, u32>;
@@ -44,7 +44,7 @@ pub struct SymCtx {
     var_syms: Vec<Symbol>,
     var_sorts: Vec<Sort>,
     occs: Vec<HoleOcc>,
-    occ_ids: HashMap<HoleOcc, u32>,
+    occ_ids: FxHashMap<HoleOcc, u32>,
 }
 
 impl SymCtx {
@@ -72,7 +72,7 @@ impl SymCtx {
             var_syms,
             var_sorts,
             occs: Vec::new(),
-            occ_ids: HashMap::new(),
+            occ_ids: FxHashMap::default(),
         }
     }
 

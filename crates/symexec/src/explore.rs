@@ -4,11 +4,12 @@
 //! termination-constraint generator, the bounded model checker, and the
 //! path-count experiment.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
+use std::hash::BuildHasher;
 
 use pins_budget::{Budget, StopReason};
 use pins_ir::{EHoleId, Expr, LoopId, PHoleId, Pred, Program, Stmt, VarId};
-use pins_logic::{collect_subterms, Term, TermId};
+use pins_logic::{collect_subterms, FxHashMap, FxHashSet, Term, TermId};
 use pins_smt::SmtSession;
 
 use crate::ctx::{version_of, HoleKind, SymCtx, VersionMap};
@@ -43,9 +44,9 @@ impl HoleFiller for EmptyFiller {
 #[derive(Debug, Clone, Default)]
 pub struct MapFiller {
     /// Expression-hole assignments.
-    pub exprs: HashMap<EHoleId, Expr>,
+    pub exprs: FxHashMap<EHoleId, Expr>,
     /// Predicate-hole assignments.
-    pub preds: HashMap<PHoleId, Pred>,
+    pub preds: FxHashMap<PHoleId, Pred>,
 }
 
 impl HoleFiller for MapFiller {
@@ -110,7 +111,7 @@ struct State<'p> {
     vmap: VersionMap,
     conjuncts: Vec<TermId>,
     substituted: Vec<TermId>,
-    unrolls: HashMap<LoopId, u32>,
+    unrolls: FxHashMap<LoopId, u32>,
     loop_entries: Vec<(LoopId, usize, VersionMap)>,
 }
 
@@ -181,7 +182,7 @@ impl<'p> Explorer<'p> {
             vmap: VersionMap::new(),
             conjuncts: Vec::new(),
             substituted: Vec::new(),
-            unrolls: HashMap::new(),
+            unrolls: FxHashMap::default(),
             loop_entries: Vec::new(),
         }
     }
@@ -189,11 +190,11 @@ impl<'p> Explorer<'p> {
     /// Finds one complete feasible path whose key is not in `avoid`,
     /// guided by `filler` (Algorithm 1, line 11). Returns `None` when the
     /// search space within bounds is exhausted.
-    pub fn explore_one(
+    pub fn explore_one<S: BuildHasher>(
         &mut self,
         ctx: &mut SymCtx,
         filler: &dyn HoleFiller,
-        avoid: &HashSet<TermId>,
+        avoid: &HashSet<TermId, S>,
     ) -> Option<PathResult> {
         self.steps = 0;
         self.budget_hit = false;
@@ -233,7 +234,7 @@ impl<'p> Explorer<'p> {
         let mut span = pins_trace::span("symexec.enumerate");
         let queries_before = self.feasibility_queries();
         let mut out = Vec::new();
-        let avoid = HashSet::new();
+        let avoid = FxHashSet::default();
         let state = self.initial_state();
         self.search(
             ctx,
@@ -264,11 +265,11 @@ impl<'p> Explorer<'p> {
 
     /// Returns `true` when the search should stop (found a path in
     /// `FindOne` mode, or hit the limit in `Collect` mode).
-    fn search(
+    fn search<S: BuildHasher>(
         &mut self,
         ctx: &mut SymCtx,
         filler: &dyn HoleFiller,
-        avoid: &HashSet<TermId>,
+        avoid: &HashSet<TermId, S>,
         mut state: State<'p>,
         mode: &Mode,
         out: &mut Vec<PathResult>,
@@ -360,10 +361,10 @@ impl<'p> Explorer<'p> {
         }
     }
 
-    fn finish(
+    fn finish<S: BuildHasher>(
         &mut self,
         ctx: &mut SymCtx,
-        avoid: &HashSet<TermId>,
+        avoid: &HashSet<TermId, S>,
         state: State<'p>,
         mode: &Mode,
         out: &mut Vec<PathResult>,
@@ -451,7 +452,7 @@ pub fn apply_filler_term(
 ) -> TermId {
     let mut holes: Vec<(TermId, u32)> = Vec::new();
     {
-        let mut subs = HashSet::new();
+        let mut subs = FxHashSet::default();
         collect_subterms(&ctx.arena, t, &mut subs);
         for s in subs {
             if let Term::Hole(occ, _) = ctx.arena.term(s) {
@@ -462,7 +463,7 @@ pub fn apply_filler_term(
     if holes.is_empty() {
         return t;
     }
-    let mut map = HashMap::new();
+    let mut map = FxHashMap::default();
     for (hole_term, occ_id) in holes {
         let occ = ctx.occurrence(occ_id).clone();
         let replacement = match occ.kind {
