@@ -4,7 +4,8 @@
 //!
 //! `--budget SECS` bounds each of the three runs per benchmark (PINS, BMC
 //! and CEGIS). Without it BMC is unbudgeted and CEGIS gets 120 s. A BMC run
-//! its budget cut short prints `stopped`; `-` means no solution passed the
+//! its budget cut short prints `stopped`, one with a loop that can run past
+//! the unroll bound prints `unwind(time)`; `-` means no solution passed the
 //! round trip, so there was nothing to model-check.
 
 use pins_bench::{init, run_pins, secs};
@@ -57,6 +58,8 @@ fn main() {
                     "stopped".to_string()
                 } else if bmc.verified {
                     secs(bmc.time)
+                } else if bmc.unwinding.is_some() {
+                    format!("unwind({})", secs(bmc.time))
                 } else {
                     format!("cex({})", secs(bmc.time))
                 }

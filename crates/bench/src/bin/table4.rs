@@ -50,12 +50,15 @@ fn main() {
                     secs(s.total_time),
                 );
                 println!(
-                    "{:<14} cache {} hit / {} miss, core {}, replay {}, solver reused {}x",
+                    "{:<14} cache {} hit / {} miss, core {}, replay {}, \
+                     memo {} solve / {} pickOne, solver reused {}x",
                     "",
                     s.smt_cache_hits,
                     s.smt_cache_misses,
                     s.smt_core_hits,
                     s.replay_hits,
+                    s.solve_memo_hits,
+                    s.pickone_memo_hits,
                     s.sessions_reused,
                 );
                 let degradations = s.unknown_deadline

@@ -251,6 +251,10 @@ pub mod profile {
         pub cache_hits: u64,
         /// Normalized-query cache misses on the engine session.
         pub cache_misses: u64,
+        /// Constraint checks in `solve` the hole memo answered.
+        pub solve_memo_hits: u64,
+        /// Path checks in `pickOne` the hole memo answered.
+        pub pickone_memo_hits: u64,
         /// Median SMT validity-query latency in microseconds (log-bucket
         /// midpoint from the `smt.query_ns` histogram; 0 when no queries).
         pub query_p50_us: f64,
@@ -289,6 +293,8 @@ pub mod profile {
                 feasibility_queries: s.feasibility_queries,
                 cache_hits: s.smt_cache_hits,
                 cache_misses: s.smt_cache_misses,
+                solve_memo_hits: s.solve_memo_hits,
+                pickone_memo_hits: s.pickone_memo_hits,
                 query_p50_us: us(lat.p50()),
                 query_p90_us: us(lat.p90()),
                 query_p99_us: us(lat.p99()),
@@ -310,12 +316,14 @@ pub mod profile {
             }
             println!(
                 "  wall {:.1}ms  queries {} smt / {} feas, cache {}/{}, \
-                 query p50/p90/p99 {:.0}/{:.0}/{:.0}us",
+                 memo {} solve / {} pickOne, query p50/p90/p99 {:.0}/{:.0}/{:.0}us",
                 self.wall_ms,
                 self.smt_queries,
                 self.feasibility_queries,
                 self.cache_hits,
                 self.cache_misses,
+                self.solve_memo_hits,
+                self.pickone_memo_hits,
                 self.query_p50_us,
                 self.query_p90_us,
                 self.query_p99_us
@@ -343,11 +351,14 @@ pub mod profile {
                 s,
                 "}},\"smt_queries\":{},\"feasibility_queries\":{},\
                  \"cache_hits\":{},\"cache_misses\":{},\
+                 \"solve_memo_hits\":{},\"pickone_memo_hits\":{},\
                  \"query_p50_us\":{:.3},\"query_p90_us\":{:.3},\"query_p99_us\":{:.3}}}",
                 self.smt_queries,
                 self.feasibility_queries,
                 self.cache_hits,
                 self.cache_misses,
+                self.solve_memo_hits,
+                self.pickone_memo_hits,
                 self.query_p50_us,
                 self.query_p90_us,
                 self.query_p99_us

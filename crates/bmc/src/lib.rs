@@ -5,7 +5,12 @@
 //! and integer inputs are range-bounded (which bounds array extents the
 //! programs traverse). Within those bounds the check is exhaustive: every
 //! complete path of `P ; P⁻¹` is enumerated and the identity specification
-//! is discharged with the SMT solver. Unlike CBMC, axioms for library
+//! is discharged with the SMT solver. Like CBMC's unwinding assertions,
+//! every prefix the unrolling cut at the bound is discharged too: a loop
+//! whose guard can still hold there runs past the bound on some input, so
+//! the paths checked do not cover that input and the report is not
+//! `verified` (an inverse that diverges is caught here, not verified
+//! vacuously). Unlike CBMC, axioms for library
 //! functions *are* supported, because the checker shares PINS's solver —
 //! the paper reports CBMC could not validate the 8 axiom-using benchmarks.
 //!
@@ -67,6 +72,10 @@ pub struct BmcReport {
     pub paths: usize,
     /// Description of the first violating path, if any.
     pub counterexample: Option<String>,
+    /// Description of the first loop that can run past the unroll bound
+    /// (its guard satisfiable on a prefix cut at the bound), if any: the
+    /// bounded check is incomplete, not refuted.
+    pub unwinding: Option<String>,
     /// Set when the run was cut short by the budget (or degraded on an
     /// arithmetic overflow) rather than refuted: the bounded claim is then
     /// *unestablished*, not falsified.
@@ -92,6 +101,7 @@ pub fn check_inverse(session: &Session, inverse: &Program, config: BmcConfig) ->
         if let Some(reason) = report.stopped {
             span.record_str("stop_reason", &reason.to_string());
         }
+        span.record("unwinding_failed", report.unwinding.is_some());
     }
     report
 }
@@ -156,10 +166,12 @@ fn check_inverse_inner(session: &Session, inverse: &Program, config: &BmcConfig)
             verified: false,
             paths: total,
             counterexample: None,
+            unwinding: None,
             stopped: Some(reason),
             time: start.elapsed(),
         };
     }
+    let cuts = std::mem::take(&mut explorer.cuts);
 
     // one session for the whole run: axioms and input bounds are asserted
     // persistently; each path contributes only its conjuncts + negated spec
@@ -174,7 +186,7 @@ fn check_inverse_inner(session: &Session, inverse: &Program, config: &BmcConfig)
         smt.assert(b);
     }
 
-    let _discharge_span = pins_trace::span("bmc.discharge");
+    let discharge_span = pins_trace::span("bmc.discharge");
     for (i, path) in paths.into_iter().enumerate() {
         prov.set_path(i as u64 + 1);
         let spec = session.spec.to_term(&mut ctx, &path.final_vmap);
@@ -190,6 +202,7 @@ fn check_inverse_inner(session: &Session, inverse: &Program, config: &BmcConfig)
                     verified: false,
                     paths: total,
                     counterexample: None,
+                    unwinding: None,
                     stopped: Some(reason),
                     time: start.elapsed(),
                 };
@@ -203,16 +216,56 @@ fn check_inverse_inner(session: &Session, inverse: &Program, config: &BmcConfig)
                     verified: false,
                     paths: total,
                     counterexample: Some(shown),
+                    unwinding: None,
                     stopped: None,
                     time: start.elapsed(),
                 };
             }
         }
     }
+    drop(discharge_span);
+
+    // unwinding checks: no loop may still be able to iterate where the
+    // unrolling cut it
+    let _unwind_span = pins_trace::span("bmc.unwinding");
+    prov.set_path(0);
+    for cut in cuts {
+        let mut assumptions = cut.conjuncts;
+        assumptions.push(cut.guard);
+        let unwinding = match smt.verdict_under(&mut ctx.arena, &assumptions) {
+            Verdict::Unsat => continue,
+            Verdict::Unknown { reason } => {
+                return BmcReport {
+                    verified: false,
+                    paths: total,
+                    counterexample: None,
+                    unwinding: None,
+                    stopped: Some(reason),
+                    time: start.elapsed(),
+                };
+            }
+            Verdict::Sat { .. } => format!(
+                "loop {} can run past the unroll bound {}: its guard {} holds after {} conjuncts",
+                cut.loop_id.0,
+                config.unroll,
+                ctx.arena.display(cut.guard),
+                assumptions.len() - 1
+            ),
+        };
+        return BmcReport {
+            verified: false,
+            paths: total,
+            counterexample: None,
+            unwinding: Some(unwinding),
+            stopped: None,
+            time: start.elapsed(),
+        };
+    }
     BmcReport {
         verified: true,
         paths: total,
         counterexample: None,
+        unwinding: None,
         stopped: None,
         time: start.elapsed(),
     }

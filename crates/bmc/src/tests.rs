@@ -96,3 +96,46 @@ fn loopy_wrong_inverse_refuted() {
     let report = check_inverse(&session, &inverse, config);
     assert!(!report.verified);
 }
+
+#[test]
+fn diverging_inverse_fails_its_unwinding_check() {
+    // `j` never moves, so the inverse loops forever whenever `m > 0`; its
+    // only complete paths have `m <= 0`, where it is right
+    let (session, inverse) = double_session("j");
+    let config = BmcConfig {
+        unroll: 5,
+        input_bound: 3,
+        ..BmcConfig::default()
+    };
+    let report = check_inverse(&session, &inverse, config);
+    assert!(!report.verified, "{report:?}");
+    assert!(report.counterexample.is_none(), "{report:?}");
+    assert!(report.stopped.is_none(), "{report:?}");
+    let unwinding = report.unwinding.expect("the cut loop can iterate on");
+    assert!(unwinding.contains("unroll bound 5"), "{unwinding}");
+}
+
+#[test]
+fn loops_bounded_by_the_inputs_pass_their_unwinding_checks() {
+    // every loop of `double` and of its inverse exits within 3 iterations
+    // when `n <= 3`, so no prefix cut at 5 can enter again
+    let (session, inverse) = double_session("j + 2");
+    let config = BmcConfig {
+        unroll: 5,
+        input_bound: 3,
+        ..BmcConfig::default()
+    };
+    let report = check_inverse(&session, &inverse, config);
+    assert!(report.verified && report.unwinding.is_none(), "{report:?}");
+    // at an unroll bound below the loops' trip counts, the check is
+    // incomplete rather than verified
+    let report = check_inverse(
+        &session,
+        &inverse,
+        BmcConfig {
+            unroll: 2,
+            ..config
+        },
+    );
+    assert!(!report.verified && report.unwinding.is_some(), "{report:?}");
+}

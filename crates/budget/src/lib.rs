@@ -46,6 +46,9 @@ impl fmt::Display for StopReason {
 struct Inner {
     /// Absolute deadline, if any.
     deadline: Option<Instant>,
+    /// The earliest deadline on the chain from this budget to the root:
+    /// the one instant [`Budget::check`] compares the clock against.
+    earliest: Option<Instant>,
     /// Step allowance; `u64::MAX` means unlimited.
     step_limit: u64,
     cancelled: AtomicBool,
@@ -77,9 +80,11 @@ impl Budget {
 
     /// A budget with an optional wall-clock limit and an optional step limit.
     pub fn with_limits(time: Option<Duration>, steps: Option<u64>) -> Budget {
+        let deadline = time.map(|d| Instant::now() + d);
         Budget {
             inner: Arc::new(Inner {
-                deadline: time.map(|d| Instant::now() + d),
+                deadline,
+                earliest: deadline,
                 step_limit: steps.unwrap_or(u64::MAX),
                 cancelled: AtomicBool::new(false),
                 steps: AtomicU64::new(0),
@@ -92,9 +97,15 @@ impl Budget {
     /// Charges against the child also charge `self`, and the child stops as
     /// soon as either its own limits or any ancestor's are exhausted.
     pub fn child(&self, time: Option<Duration>, steps: Option<u64>) -> Budget {
+        let deadline = time.map(|d| Instant::now() + d);
+        let earliest = match (deadline, self.inner.earliest) {
+            (Some(mine), Some(theirs)) => Some(mine.min(theirs)),
+            (mine, theirs) => mine.or(theirs),
+        };
         Budget {
             inner: Arc::new(Inner {
-                deadline: time.map(|d| Instant::now() + d),
+                deadline,
+                earliest,
                 step_limit: steps.unwrap_or(u64::MAX),
                 cancelled: AtomicBool::new(false),
                 steps: AtomicU64::new(0),
@@ -123,7 +134,9 @@ impl Budget {
         self.check()
     }
 
-    /// Polls the budget without charging work.
+    /// Polls the budget without charging work: cancellation and step
+    /// limits along the ancestor chain first, then one clock read against
+    /// the earliest deadline on the chain.
     pub fn check(&self) -> Result<(), StopReason> {
         let mut b = self;
         loop {
@@ -134,15 +147,14 @@ impl Budget {
             if inner.steps.load(Ordering::Relaxed) >= inner.step_limit {
                 return Err(StopReason::StepLimit);
             }
-            if let Some(deadline) = inner.deadline {
-                if Instant::now() >= deadline {
-                    return Err(StopReason::Deadline);
-                }
-            }
             match &inner.parent {
                 Some(parent) => b = parent,
-                None => return Ok(()),
+                None => break,
             }
+        }
+        match self.inner.earliest {
+            Some(deadline) if Instant::now() >= deadline => Err(StopReason::Deadline),
+            _ => Ok(()),
         }
     }
 
@@ -251,6 +263,23 @@ mod tests {
         parent.cancel();
         assert_eq!(child.check(), Err(StopReason::Cancelled));
         assert!(!child.is_cancelled(), "cancel flag lives on the parent");
+    }
+
+    #[test]
+    fn child_stops_at_the_earlier_of_its_deadline_and_its_parents() {
+        let hour = Duration::from_secs(3600);
+        let parent = Budget::with_deadline(Duration::from_millis(0));
+        let child = parent.child(Some(hour), None);
+        let tight = Budget::with_deadline(hour).child(Some(Duration::from_millis(0)), None);
+        let grandchild = child.child(None, None);
+        std::thread::sleep(Duration::from_millis(1));
+        assert_eq!(child.check(), Err(StopReason::Deadline));
+        assert_eq!(grandchild.check(), Err(StopReason::Deadline));
+        assert_eq!(tight.check(), Err(StopReason::Deadline));
+        // the child's own allowance keeps its meaning
+        assert!(child.time_left().unwrap() > Duration::from_secs(3000));
+        let roomy = Budget::with_deadline(hour).child(Some(hour), None);
+        assert_eq!(roomy.check(), Ok(()));
     }
 
     #[test]

@@ -193,6 +193,13 @@ impl HoleSet {
         HoleSet::of_occurrences(ctx, &occurrences(&ctx.arena, terms))
     }
 
+    /// The holes occurring in `t`, from `ctx`'s per-term occurrence lists
+    /// (each term is walked once per context).
+    pub(crate) fn of_term(ctx: &mut SymCtx, t: TermId) -> HoleSet {
+        let occs: BTreeSet<u32> = ctx.holes_in(t).iter().map(|&(_, occ)| occ).collect();
+        HoleSet::of_occurrences(ctx, &occs)
+    }
+
     fn of_occurrences(ctx: &SymCtx, occs: &BTreeSet<u32>) -> HoleSet {
         let mut exprs = BTreeSet::new();
         let mut preds = BTreeSet::new();
@@ -218,7 +225,7 @@ impl HoleSet {
         self.len() == 0
     }
 
-    fn union(&mut self, other: &HoleSet) {
+    pub(crate) fn union(&mut self, other: &HoleSet) {
         for (mine, theirs) in [
             (&mut self.exprs, &other.exprs),
             (&mut self.preds, &other.preds),

@@ -5,22 +5,19 @@ use std::time::{Duration, Instant};
 
 use pins_budget::Budget;
 use pins_ir::{Expr, Pred, Program, Stmt, Value};
-use pins_logic::{FxHashMap, FxHashSet, TermId};
+use pins_logic::{FxHashSet, TermId};
 use pins_prng::SplitMix64;
 use pins_smt::{QueryCache, SessionStats, SmtConfig, SmtResult, SmtSession};
-use pins_symexec::{apply_filler_term, ExploreConfig, Explorer, MapFiller, PathResult, SymCtx};
+use pins_symexec::{ExploreConfig, Explorer, MapFiller, PathResult, SymCtx};
 use pins_trace::{MetricsRegistry, Phase, ProvenanceCtx};
 
 use crate::constraints::{
     init_constraints, safepath_constraint, terminate_constraints, Constraint, HoleSet, Slicer,
 };
 use crate::domains::{build_domains, DomainConfig, HoleDomains};
+use crate::memo::HoleMemo;
 use crate::session::Session;
-use crate::solve::{restrict, HoleSolver, RestrictedKey, Solution, SolveStats};
-
-/// `pickOne` memo: a path's substituted key plus the solution's choices for
-/// the holes that path mentions, mapped to "is this path infeasible under S".
-type InfeasibleCache = FxHashMap<(TermId, RestrictedKey), bool>;
+use crate::solve::{HoleSolver, Solution, SolveStats};
 
 /// PINS configuration.
 #[derive(Debug, Clone)]
@@ -68,8 +65,8 @@ impl Default for PinsConfig {
 }
 
 pins_trace::counter_table! {
-    /// The engine's own phase timers; `solve` times the other two phases
-    /// ([`SolveStats`]).
+    /// The engine's own phase timers and pickOne's memo hits; `solve` times
+    /// the other two phases ([`SolveStats`]).
     pub(crate) struct PhaseTimes / pub(crate) PhaseMetrics {
         /// Symbolic execution (includes its SMT feasibility queries).
         symexec: Duration = "phase.symexec",
@@ -77,6 +74,8 @@ pins_trace::counter_table! {
         pickone: Duration = "phase.pickone",
         /// Total wall-clock time of the run.
         total: Duration = "phase.total",
+        /// Path checks of `pickOne` the hole memo answered without a query.
+        pickone_memo_hits: u64 = "pickone.memo_hits",
     }
 }
 
@@ -113,6 +112,11 @@ pub struct PinsStats {
     /// Constraint checks in `solve` refuted by a replayed countermodel,
     /// without a query.
     pub replay_hits: u64,
+    /// Constraint checks in `solve` the hole memo answered valid, without
+    /// a query.
+    pub solve_memo_hits: u64,
+    /// Path checks in `pickOne` the hole memo answered, without a query.
+    pub pickone_memo_hits: u64,
     /// `solve` calls that reused solver state from an earlier iteration.
     pub sessions_reused: u64,
     /// Verification queries that panicked and were degraded to "constraint
@@ -156,6 +160,8 @@ impl PinsStats {
             smt_cache_misses: smt.cache_misses,
             smt_core_hits: smt.core_hits,
             replay_hits: solve.replay_hits,
+            solve_memo_hits: solve.memo_hits,
+            pickone_memo_hits: phases.pickone_memo_hits,
             sessions_reused: solve.sessions_reused,
             worker_panics: solve.worker_panics,
             sat_interrupts: solve.sat_interrupts,
@@ -390,8 +396,9 @@ impl Pins {
 
         let mut explored: FxHashSet<TermId> = FxHashSet::default();
         let mut paths: Vec<PathResult> = Vec::new();
-        let mut path_holes: Vec<HoleSet> = Vec::new(); // holes per path
-        let mut infeasible_cache: InfeasibleCache = FxHashMap::default();
+        // per explored path, in order: whether it is infeasible under
+        // restricted assignments
+        let mut path_memo = HoleMemo::new();
 
         let mut last_size = usize::MAX;
         let mut iterations = 0;
@@ -437,7 +444,16 @@ impl Pins {
             }
             if sols.len() == last_size && sols.len() < self.config.m {
                 return Ok(self.finalize(
-                    session, &mut ctx, &domains, &mut smt, metrics, sols, iterations, &paths, true,
+                    session,
+                    &mut ctx,
+                    &domains,
+                    &mut smt,
+                    &mut solver,
+                    metrics,
+                    sols,
+                    iterations,
+                    &paths,
+                    true,
                 ));
             }
             last_size = sols.len();
@@ -453,10 +469,11 @@ impl Pins {
                     &mut ctx,
                     &domains,
                     &mut smt,
+                    &mut solver,
                     &sols,
                     &paths,
-                    &path_holes,
-                    &mut infeasible_cache,
+                    &mut path_memo,
+                    phases,
                     &mut rng,
                 )
             };
@@ -499,6 +516,7 @@ impl Pins {
                     &mut ctx,
                     &domains,
                     &mut smt,
+                    &mut solver,
                     metrics,
                     sols,
                     iterations,
@@ -507,7 +525,11 @@ impl Pins {
                 ));
             };
             explored.insert(path.key);
-            path_holes.push(HoleSet::of(&ctx, path.conjuncts.iter().copied()));
+            let slots = path
+                .conjuncts
+                .iter()
+                .map(|&c| HoleSet::of_term(&mut ctx, c));
+            path_memo.add(slots.collect());
 
             // extend the constraint system
             let safe = safepath_constraint(session, &session.spec, &mut ctx, &path);
@@ -521,7 +543,10 @@ impl Pins {
 
     /// The `infeasible(S)` heuristic: count explored paths whose condition
     /// becomes unsatisfiable under `S`; pick the solution maximizing it,
-    /// breaking ties randomly.
+    /// breaking ties randomly. `memo` answers a path from an earlier
+    /// candidate's verdict on it: exactly when the candidates agree on the
+    /// path's holes, or, for an infeasible path, on the holes of its
+    /// conjuncts in the unsat core.
     #[allow(clippy::too_many_arguments)]
     fn pick_one(
         &self,
@@ -529,10 +554,11 @@ impl Pins {
         ctx: &mut SymCtx,
         domains: &HoleDomains,
         smt: &mut SmtSession,
+        solver: &mut HoleSolver,
         sols: &[Solution],
         paths: &[PathResult],
-        path_holes: &[HoleSet],
-        cache: &mut InfeasibleCache,
+        memo: &mut HoleMemo,
+        phases: &PhaseMetrics,
         rng: &mut SplitMix64,
     ) -> usize {
         let prov = smt.provenance().clone();
@@ -542,18 +568,21 @@ impl Pins {
             let mut count = 0i64;
             for (p, path) in paths.iter().enumerate() {
                 prov.set_path(p as u64 + 1);
-                let key = restrict(&path_holes[p], s);
-                let infeasible = if let Some(&v) = cache.get(&(path.key, key.clone())) {
+                let infeasible = if let Some(v) = memo.lookup(p, s) {
+                    phases.pickone_memo_hits.inc();
                     v
                 } else {
-                    let filler = s.to_filler(domains);
                     let subst: Vec<TermId> = path
                         .conjuncts
                         .iter()
-                        .map(|&c| apply_filler_term(ctx, &session.composed, c, &filler))
+                        .map(|&c| solver.fill(ctx, &session.composed, domains, s, c))
                         .collect();
                     let v = smt.verdict_under(&mut ctx.arena, &subst).is_unsat();
-                    cache.insert((path.key, key), v);
+                    if v {
+                        memo.learn_unsat(p, s, smt.last_unsat_core());
+                    } else {
+                        memo.learn_other(p, s);
+                    }
                     v
                 };
                 if infeasible {
@@ -580,6 +609,7 @@ impl Pins {
         ctx: &mut SymCtx,
         domains: &HoleDomains,
         smt: &mut SmtSession,
+        solver: &mut HoleSolver,
         metrics: &MetricsRegistry,
         sols: Vec<Solution>,
         iterations: usize,
@@ -592,7 +622,7 @@ impl Pins {
             .collect();
         let tests = if let Some(first) = sols.first() {
             let _phase = smt.provenance().clone().enter_phase(Phase::TestGen);
-            generate_tests(session, ctx, domains, smt, first, paths)
+            generate_tests(session, ctx, domains, smt, solver, first, paths)
         } else {
             Vec::new()
         };
@@ -735,10 +765,10 @@ fn generate_tests(
     ctx: &mut SymCtx,
     domains: &HoleDomains,
     smt: &mut SmtSession,
+    solver: &mut HoleSolver,
     solution: &Solution,
     paths: &[PathResult],
 ) -> Vec<ConcreteTest> {
-    let filler = solution.to_filler(domains);
     let prov = smt.provenance().clone();
     let mut tests = Vec::new();
     for (i, path) in paths.iter().enumerate() {
@@ -746,7 +776,7 @@ fn generate_tests(
         let subst: Vec<TermId> = path
             .conjuncts
             .iter()
-            .map(|&c| apply_filler_term(ctx, &session.composed, c, &filler))
+            .map(|&c| solver.fill(ctx, &session.composed, domains, solution, c))
             .collect();
         let SmtResult::Sat(model) = smt.check_under(&mut ctx.arena, &subst) else {
             continue; // path infeasible under the final solution

@@ -44,6 +44,7 @@
 mod constraints;
 mod domains;
 mod engine;
+mod memo;
 mod session;
 mod solve;
 
@@ -59,6 +60,7 @@ pub use engine::{
     resolve_solution, ConcreteTest, Pins, PinsConfig, PinsError, PinsOutcome, PinsStats,
     ResolvedSolution,
 };
+pub use memo::HoleMemo;
 pub use session::{AxiomDef, Session, Spec, SpecItem};
 pub use solve::{HoleSolver, Solution, SolveStats};
 

@@ -4,19 +4,30 @@
 //! Each unknown gets an exactly-one block of indicator variables over its
 //! finite domain. The loop is a lazy CEGIS over indicators: a SAT model
 //! proposes a full assignment; every constraint is verified by an SMT
-//! validity query under that assignment (with memoization keyed on the
-//! restricted assignment of the holes that actually occur in the
-//! constraint); a failed constraint contributes a blocking clause over
-//! exactly those holes — the generalization that makes the search converge.
-//! The engine hands over constraints as the parts of its
-//! [`Slicer`](crate::Slicer), so those are the holes the failing part can
-//! observe, not every hole on its path.
+//! validity query under that assignment; a failed constraint contributes a
+//! blocking clause over exactly the holes that occur in it — the
+//! generalization that makes the search converge. The engine hands over
+//! constraints as the parts of its [`Slicer`](crate::Slicer), so those are
+//! the holes the failing part can observe, not every hole on its path.
 //!
 //! Verification goes through a persistent [`SmtSession`] owned by the
 //! engine: the session carries the library axioms and the normalized-query
 //! cache, so repeated validity checks across PINS iterations short-circuit.
 //! Constraints are verified in index order and the first one that fails
 //! yields the blocking clause, as in the paper's serial loop.
+//!
+//! **The hole memo.** A part proven valid leaves the unsat core of its
+//! query behind, and the candidate's choices on the holes of the core's
+//! hypotheses (and goal) become a [`HoleMemo`] entry: every later candidate
+//! that agrees on those holes substitutes them into the same terms, so its
+//! query contains the same core, and the part is valid without a query
+//! being built. A part that fails is blocked in the SAT formula and never
+//! proposed again, so the memo keeps no failures.
+//!
+//! **One translation per hole occurrence and candidate.** Candidates are
+//! substituted straight from the domain table: each term's hole
+//! occurrences are found once per run ([`SymCtx::fill_holes`]), and each
+//! (occurrence, candidate) pair is translated into a term once per run.
 //!
 //! **Counterexample replay.** When the session has no axioms and no
 //! assertions of its own, every SMT refutation of a part's `hyps ∧ ¬goal`
@@ -36,15 +47,16 @@ use std::time::{Duration, Instant};
 
 use pins_budget::StopReason;
 
-use pins_ir::{EHoleId, PHoleId};
-use pins_logic::{FxHashMap, TermId};
+use pins_ir::{EHoleId, PHoleId, Program};
+use pins_logic::TermId;
 use pins_sat::{Lit, SolveResult, Solver as SatSolver, Var};
 use pins_smt::{Definitions, Model, SmtResult, SmtSession, Witness};
-use pins_symexec::{apply_filler_term, MapFiller, SymCtx};
+use pins_symexec::{HoleKind, MapFiller, SymCtx};
 use pins_trace::MetricsRegistry;
 
 use crate::constraints::{Constraint, HoleSet};
 use crate::domains::HoleDomains;
+use crate::memo::HoleMemo;
 use crate::session::Session;
 
 /// A full assignment: per hole, the index of the chosen candidate in its
@@ -87,9 +99,12 @@ pins_trace::counter_table! {
         sat_time: Duration = "phase.sat",
         /// Time in SMT validity checking (the paper's "SMT reduction").
         smt_time: Duration = "phase.smt_reduction",
-        /// Number of SMT validity queries issued (excluding local memo hits
+        /// Number of SMT validity queries issued (excluding hole-memo hits
         /// and replayed refutations).
         smt_queries: u64 = "solve.smt_queries",
+        /// Constraint checks the hole memo answered valid without building
+        /// a query.
+        memo_hits: u64 = "solve.memo_hits",
         /// Number of candidate assignments proposed by SAT.
         candidates_proposed: u64 = "solve.candidates",
         /// Final SAT formula size (vars + literal occurrences).
@@ -130,26 +145,19 @@ enum Check {
     Queried(bool),
 }
 
-/// Verifies a single constraint under a filled-in candidate: substitutes the
-/// filler into the hypotheses and goal, replays `countermodels` (when the
-/// session replays) on the result, and asks the session for validity only
-/// when no stored model refutes it. A model refuting the query joins
-/// `countermodels` at the front. Replay time accrues to `replay_time`.
+/// Verifies one constraint part under a candidate, given its substituted
+/// hypotheses and goal: replays `countermodels` (when the session replays)
+/// on them, and asks the session for validity only when no stored model
+/// refutes it. A model refuting the query joins `countermodels` at the
+/// front. Replay time accrues to `replay_time`.
 fn verify_one(
     ctx: &mut SymCtx,
-    program: &pins_ir::Program,
     smt: &mut SmtSession,
-    constraint: &Constraint,
-    filler: &MapFiller,
+    mut hyps: Vec<TermId>,
+    goal: TermId,
     countermodels: Option<&mut Vec<Model>>,
     replay_time: &mut Duration,
 ) -> Check {
-    let mut hyps: Vec<TermId> = constraint
-        .hyps
-        .iter()
-        .map(|&h| apply_filler_term(ctx, program, h, filler))
-        .collect();
-    let goal = apply_filler_term(ctx, program, constraint.goal, filler);
     let Some(models) = countermodels else {
         return Check::Queried(smt.entails(&mut ctx.arena, &hyps, goal));
     };
@@ -177,15 +185,61 @@ fn verify_one(
     }
 }
 
-/// A solution's choices restricted to the holes one constraint (or path)
-/// mentions: `(is_expr, hole id, chosen candidate)` triples.
-pub(crate) type RestrictedKey = Vec<(bool, u32, usize)>;
+/// Every hole occurrence's candidates as terms, each translated once per
+/// run: per occurrence id, per choice in the hole's domain.
+#[derive(Debug, Default)]
+struct Translations {
+    terms: Vec<Vec<Option<TermId>>>,
+}
 
-/// `s` restricted to `holes`.
-pub(crate) fn restrict(holes: &HoleSet, s: &Solution) -> RestrictedKey {
-    let exprs = holes.exprs.iter().map(|&h| (true, h, s.exprs[h as usize]));
-    let preds = holes.preds.iter().map(|&h| (false, h, s.preds[h as usize]));
-    exprs.chain(preds).collect()
+impl Translations {
+    /// `t` with each hole occurrence replaced by `s`'s candidate for its
+    /// hole, translated under the occurrence's version map; unfilled holes
+    /// stay symbolic.
+    fn fill(
+        &mut self,
+        ctx: &mut SymCtx,
+        program: &Program,
+        domains: &HoleDomains,
+        s: &Solution,
+        t: TermId,
+    ) -> TermId {
+        ctx.fill_holes(t, |ctx, occ| {
+            let (choice, options) = match ctx.occurrence(occ).kind {
+                HoleKind::Expr(h) => (s.exprs[h.0 as usize], domains.exprs[h.0 as usize].len()),
+                HoleKind::Pred(h) => (s.preds[h.0 as usize], domains.preds[h.0 as usize].len()),
+            };
+            if choice == usize::MAX {
+                return None;
+            }
+            let i = occ as usize;
+            if self.terms.len() <= i {
+                self.terms.resize(i + 1, Vec::new());
+            }
+            if self.terms[i].is_empty() {
+                self.terms[i] = vec![None; options];
+            }
+            if let Some(term) = self.terms[i][choice] {
+                return Some(term);
+            }
+            let occurrence = ctx.occurrence(occ).clone();
+            let term = match occurrence.kind {
+                HoleKind::Expr(h) => ctx.expr_term(
+                    program,
+                    &domains.exprs[h.0 as usize][choice],
+                    &occurrence.vmap,
+                    occurrence.sort,
+                ),
+                HoleKind::Pred(h) => ctx.pred_term(
+                    program,
+                    &domains.preds[h.0 as usize][choice],
+                    &occurrence.vmap,
+                ),
+            };
+            self.terms[i][choice] = Some(term);
+            Some(term)
+        })
+    }
 }
 
 /// The incremental hole solver, persistent across PINS iterations
@@ -195,9 +249,10 @@ pub struct HoleSolver {
     sat: SatSolver,
     evars: Vec<Vec<Var>>,
     pvars: Vec<Vec<Var>>,
-    /// `(constraint index, restricted assignment) -> verified?`
-    cache: FxHashMap<(usize, RestrictedKey), bool>,
-    holes_of: Vec<HoleSet>,
+    /// Per constraint part, in order: the restricted assignments known to
+    /// make it valid.
+    memo: HoleMemo,
+    translations: Translations,
     /// Per constraint: the models of its SMT refutations, most recently
     /// successful first (empty unless the session replays).
     countermodels: Vec<Vec<Model>>,
@@ -231,8 +286,8 @@ impl HoleSolver {
             sat,
             evars,
             pvars,
-            cache: FxHashMap::default(),
-            holes_of: Vec::new(),
+            memo: HoleMemo::new(),
+            translations: Translations::default(),
             countermodels: Vec::new(),
             proposed_before: false,
             last_stop: None,
@@ -258,17 +313,27 @@ impl HoleSolver {
         self.last_stop
     }
 
-    /// Registers the holes occurring in constraint `idx` (call once per new
-    /// constraint, in order).
-    pub fn register_constraint(&mut self, ctx: &SymCtx, idx: usize, c: &Constraint) {
-        assert_eq!(
-            idx,
-            self.holes_of.len(),
-            "constraints must register in order"
-        );
+    /// Registers the holes occurring in constraint `idx`, per hypothesis
+    /// and goal (call once per new constraint, in order).
+    pub fn register_constraint(&mut self, ctx: &mut SymCtx, idx: usize, c: &Constraint) {
+        assert_eq!(idx, self.memo.len(), "constraints must register in order");
         let terms = c.hyps.iter().copied().chain(std::iter::once(c.goal));
-        self.holes_of.push(HoleSet::of(ctx, terms));
+        let slots = terms.map(|t| HoleSet::of_term(ctx, t)).collect();
+        self.memo.add(slots);
         self.countermodels.push(Vec::new());
+    }
+
+    /// `t` with `s`'s candidates substituted for its holes, through this
+    /// solver's per-run translations.
+    pub(crate) fn fill(
+        &mut self,
+        ctx: &mut SymCtx,
+        program: &Program,
+        domains: &HoleDomains,
+        s: &Solution,
+        t: TermId,
+    ) -> TermId {
+        self.translations.fill(ctx, program, domains, s, t)
     }
 
     fn extract_solution(sat: &SatSolver, evars: &[Vec<Var>], pvars: &[Vec<Var>]) -> Solution {
@@ -283,11 +348,8 @@ impl HoleSolver {
         }
     }
 
-    fn restricted_key(&self, c: usize, s: &Solution) -> RestrictedKey {
-        restrict(&self.holes_of[c], s)
-    }
-
-    /// Verifies one constraint under a solution, with memoization.
+    /// Verifies one constraint under a solution: from the hole memo, else
+    /// by replay or query, learning from the unsat core of a valid answer.
     #[allow(clippy::too_many_arguments)]
     fn verify(
         &mut self,
@@ -299,27 +361,23 @@ impl HoleSolver {
         domains: &HoleDomains,
         smt: &mut SmtSession,
     ) -> bool {
-        let key = self.restricted_key(c, solution);
-        if let Some(&v) = self.cache.get(&(c, key.clone())) {
-            return v;
+        if self.memo.lookup(c, solution) == Some(true) {
+            self.metrics.memo_hits.inc();
+            return true;
         }
-        let filler = solution.to_filler(domains);
         let t0 = Instant::now();
         let replays = smt.axioms().is_empty() && smt.assertions().is_empty();
         let countermodels = replays.then_some(&mut self.countermodels[c]);
+        let translations = &mut self.translations;
         let mut replay_time = Duration::ZERO;
         // a query that panics (e.g. a poisoned constraint hitting an encoder
         // `panic!`) degrades to "unverified" instead of tearing down the solve
         let check = catch_unwind(AssertUnwindSafe(|| {
-            verify_one(
-                ctx,
-                &session.composed,
-                smt,
-                &constraints[c],
-                &filler,
-                countermodels,
-                &mut replay_time,
-            )
+            let part = &constraints[c];
+            let mut fill = |t| translations.fill(ctx, &session.composed, domains, solution, t);
+            let hyps: Vec<TermId> = part.hyps.iter().map(|&h| fill(h)).collect();
+            let goal = fill(part.goal);
+            verify_one(ctx, smt, hyps, goal, countermodels, &mut replay_time)
         }));
         let valid = match check {
             Ok(Check::Replayed) => {
@@ -336,9 +394,11 @@ impl HoleSolver {
                 false
             }
         };
+        if valid {
+            self.memo.learn_unsat(c, solution, smt.last_unsat_core());
+        }
         self.metrics.replay_time.add_duration(replay_time);
         self.metrics.smt_time.add_duration(t0.elapsed());
-        self.cache.insert((c, key), valid);
         valid
     }
 
@@ -347,7 +407,7 @@ impl HoleSolver {
     /// the constraint too), to this call's snapshot and to the main formula
     /// later calls start from.
     fn block(&mut self, c: usize, s: &Solution, snapshot: &mut SatSolver) {
-        let holes = &self.holes_of[c];
+        let holes = self.memo.holes(c);
         let mut clause = Vec::new();
         for &h in &holes.exprs {
             let choice = s.exprs[h as usize];
@@ -386,7 +446,7 @@ impl HoleSolver {
         }
         let before = smt.stats();
         // register any new constraints
-        for (idx, constraint) in constraints.iter().enumerate().skip(self.holes_of.len()) {
+        for (idx, constraint) in constraints.iter().enumerate().skip(self.memo.len()) {
             self.register_constraint(ctx, idx, constraint);
         }
         let mut found = Vec::new();

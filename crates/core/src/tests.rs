@@ -537,3 +537,81 @@ fn a_session_assertion_turns_counterexample_replay_off() {
     // `0` and `y - 7`, by their index in the candidate list
     assert_eq!(chosen, vec![2, 3]);
 }
+
+// ---------------- the hole memo ----------------
+
+/// A memo subject of two query slots, slot `j` mentioning expression hole
+/// `j`, and a candidate builder over those two holes.
+fn two_slot_memo() -> (HoleMemo, usize, impl Fn(usize, usize) -> Solution) {
+    let mut memo = HoleMemo::new();
+    let slot = |h: u32| HoleSet {
+        exprs: vec![h],
+        preds: Vec::new(),
+    };
+    let i = memo.add(vec![slot(0), slot(1)]);
+    let s = |a, b| Solution {
+        exprs: vec![a, b],
+        preds: Vec::new(),
+    };
+    (memo, i, s)
+}
+
+#[test]
+fn a_candidate_differing_only_outside_the_core_hits_the_memo() {
+    let (mut memo, i, s) = two_slot_memo();
+    let core = pins_smt::UnsatCore {
+        members: vec![pins_smt::CoreMember {
+            slot: pins_smt::CoreSlot::Assumption(0),
+            fingerprint: 0,
+        }],
+        exact: true,
+        id: 0,
+    };
+    memo.learn_unsat(i, &s(1, 2), Some(&core));
+    // hole 1 is outside the core: any choice there hits
+    assert_eq!(memo.lookup(i, &s(1, 5)), Some(true));
+    assert_eq!(memo.lookup(i, &s(1, usize::MAX)), Some(true));
+    // hole 0 is in it
+    assert_eq!(memo.lookup(i, &s(0, 2)), None);
+}
+
+#[test]
+fn without_a_core_the_memo_keys_on_every_hole() {
+    let (mut memo, i, s) = two_slot_memo();
+    memo.learn_unsat(i, &s(3, 4), None);
+    assert_eq!(memo.lookup(i, &s(3, 4)), Some(true));
+    assert_eq!(memo.lookup(i, &s(3, 0)), None);
+    // a core naming a slot the subject does not have is no core at all
+    let stray = pins_smt::UnsatCore {
+        members: vec![pins_smt::CoreMember {
+            slot: pins_smt::CoreSlot::Assumption(7),
+            fingerprint: 0,
+        }],
+        exact: true,
+        id: 0,
+    };
+    memo.learn_unsat(i, &s(5, 6), Some(&stray));
+    assert_eq!(memo.lookup(i, &s(5, 6)), Some(true));
+    assert_eq!(memo.lookup(i, &s(5, 0)), None);
+}
+
+#[test]
+fn feasible_answers_are_kept_exactly_and_win_over_cores() {
+    let (mut memo, i, s) = two_slot_memo();
+    memo.learn_other(i, &s(1, 1));
+    assert_eq!(memo.lookup(i, &s(1, 1)), Some(false));
+    assert_eq!(memo.lookup(i, &s(1, 2)), None);
+    // an assertion-only core mentions no hole: every candidate is unsat,
+    // except the one answered otherwise before
+    let axiomatic = pins_smt::UnsatCore {
+        members: vec![pins_smt::CoreMember {
+            slot: pins_smt::CoreSlot::Assertion(0),
+            fingerprint: 0,
+        }],
+        exact: true,
+        id: 0,
+    };
+    memo.learn_unsat(i, &s(2, 2), Some(&axiomatic));
+    assert_eq!(memo.lookup(i, &s(9, 9)), Some(true));
+    assert_eq!(memo.lookup(i, &s(1, 1)), Some(false));
+}

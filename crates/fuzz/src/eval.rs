@@ -10,6 +10,9 @@
 //!   sparse-but-correct model is never reported as wrong) and cross-checks
 //!   EUF congruence: two applications of the same function on equal
 //!   evaluated arguments must be assigned equal values.
+//! * [`skeleton_holds`] — the propositional skeleton of a formula under the
+//!   truth values a model reports for its atoms: what the SAT layer's final
+//!   assignment says, independent of the theories.
 //! * [`enumerate_sat`] — exhaustive enumeration of all assignments over a
 //!   small integer domain, total on the generator's *enumerable* dialect.
 //!   Finding a satisfying assignment there refutes an `Unsat` verdict
@@ -251,6 +254,44 @@ pub fn check_model(arena: &TermArena, asserts: &[TermId], model: &Model) -> Mode
     }
     out.euf_conflicts = ev.euf_conflicts;
     out
+}
+
+/// Evaluates `t`'s boolean structure (`not`, `and`, `or`, boolean `ite`)
+/// over the truth values `model.bools` gives its atoms: `None` when an atom
+/// the result depends on has no value there. A solver's model must satisfy
+/// the skeleton of every clause it asserted, whatever its theories did.
+pub fn skeleton_holds(arena: &TermArena, model: &Model, t: TermId) -> Option<bool> {
+    match arena.term(t) {
+        Term::BoolConst(b) => Some(*b),
+        Term::Not(a) => skeleton_holds(arena, model, *a).map(|v| !v),
+        Term::And(kids) => {
+            let mut all = Some(true);
+            for &k in kids {
+                match skeleton_holds(arena, model, k) {
+                    Some(false) => return Some(false),
+                    None => all = None,
+                    Some(true) => {}
+                }
+            }
+            all
+        }
+        Term::Or(kids) => {
+            let mut any = Some(false);
+            for &k in kids {
+                match skeleton_holds(arena, model, k) {
+                    Some(true) => return Some(true),
+                    None => any = None,
+                    Some(false) => {}
+                }
+            }
+            any
+        }
+        Term::Ite(c, a, b) if arena.sort(t).is_bool() => match skeleton_holds(arena, model, *c)? {
+            true => skeleton_holds(arena, model, *a),
+            false => skeleton_holds(arena, model, *b),
+        },
+        _ => model.bools.get(&t).copied(),
+    }
 }
 
 /// The symmetric integer domain enumeration ranges over: covers the

@@ -23,13 +23,13 @@ use pins_smt::{
 };
 use pins_symexec::{apply_filler_term, EmptyFiller, ExploreConfig, Explorer, MapFiller, SymCtx};
 
-use crate::eval::{check_model, enumerate_sat};
+use crate::eval::{check_model, enumerate_sat, skeleton_holds};
 use crate::genf::{gen_conjunct, gen_definitions, gen_formula, FormulaConfig, GenFormula};
 use crate::genp::{gen_program, ProgramConfig};
 use crate::genq::{gen_axioms, GenAxioms};
 use crate::tape::Decisions;
 
-/// The nine differential oracles.
+/// The ten differential oracles.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OracleKind {
     /// `Sat` verdicts: the returned model must satisfy the formula under an
@@ -62,10 +62,14 @@ pub enum OracleKind {
     /// brute-force reference finds round by round, and the arena's
     /// groundness bit agrees with a walk of every generated term.
     Ground,
+    /// A solve whose final checks add lemmas and instances mid-search (the
+    /// live trail) agrees with a fresh solve given all of them up front,
+    /// and every complete model satisfies the asserts and those lemmas.
+    Live,
 }
 
 /// All oracles, in the round-robin order the driver uses.
-pub const ALL_ORACLES: [OracleKind; 9] = [
+pub const ALL_ORACLES: [OracleKind; 10] = [
     OracleKind::ModelEval,
     OracleKind::EnumUnsat,
     OracleKind::Cache,
@@ -75,6 +79,7 @@ pub const ALL_ORACLES: [OracleKind; 9] = [
     OracleKind::Slice,
     OracleKind::Shortcut,
     OracleKind::Ground,
+    OracleKind::Live,
 ];
 
 impl OracleKind {
@@ -90,6 +95,7 @@ impl OracleKind {
             OracleKind::Slice => "slice",
             OracleKind::Shortcut => "shortcut",
             OracleKind::Ground => "ground",
+            OracleKind::Live => "live",
         }
     }
 
@@ -169,6 +175,7 @@ pub fn run_oracle(kind: OracleKind, d: &mut Decisions) -> OracleOutcome {
         OracleKind::Slice => slice_exactness(d),
         OracleKind::Shortcut => shortcut_exactness(d),
         OracleKind::Ground => ground_exactness(d),
+        OracleKind::Live => live_trail(d),
     }
 }
 
@@ -1026,6 +1033,116 @@ fn reference_instances(
     }
     instances.sort_unstable();
     Some((instances, rounds))
+}
+
+// ---------------------------------------------------------------------------
+// 10. live
+// ---------------------------------------------------------------------------
+
+/// The `live` oracle's solver configuration: [`fuzz_smt_config`] with
+/// final-check rounds and instances capped, because a generated axiom set
+/// can add an instance or two per round for thousands of rounds, each
+/// dearer than the last, within the step limit.
+fn live_smt_config() -> SmtConfig {
+    SmtConfig {
+        max_theory_rounds: 40,
+        inst: InstConfig {
+            max_instances: 40,
+            ..InstConfig::default()
+        },
+        ..fuzz_smt_config()
+    }
+}
+
+/// The `live` oracle's formulas: larger than the default, so that more of
+/// them need array lemmas and disequality splits mid-search.
+const LIVE_FORMULAS: FormulaConfig = FormulaConfig {
+    enumerable: false,
+    max_asserts: 8,
+    max_depth: 5,
+};
+
+fn live_trail(d: &mut Decisions) -> OracleOutcome {
+    // array and EUF formulas (read-over-write lemmas, disequality splits,
+    // terms registered by lemmas) or axiom problems (e-matching instances)
+    let (mut arena, asserts) = if d.chance(1, 2) {
+        let g = gen_axioms(d);
+        let mut asserts = g.roots;
+        asserts.extend(g.axioms);
+        (g.arena, asserts)
+    } else {
+        let f = gen_formula(d, LIVE_FORMULAS);
+        (f.arena, f.asserts)
+    };
+    let mut violations = Vec::new();
+    let Some(verdict) = live_vs_upfront(&mut arena, &asserts, &mut violations) else {
+        return OracleOutcome::skip("no-lemmas");
+    };
+    let detail = verdict_name(verdict);
+    if violations.is_empty() {
+        OracleOutcome::pass(detail)
+    } else {
+        OracleOutcome::fail(violations, detail)
+    }
+}
+
+/// Solves `asserts` live, then again with every lemma and instance the
+/// live solve added mid-search asserted up front, and records where the
+/// two disagree or a model falsifies what its solver asserted. Returns the
+/// live verdict, or `None` when nothing was added mid-search.
+fn live_vs_upfront(
+    arena: &mut TermArena,
+    asserts: &[TermId],
+    violations: &mut Vec<String>,
+) -> Option<Verdict> {
+    let mut live = Smt::new(live_smt_config());
+    for &a in asserts {
+        live.assert_term(arena, a);
+    }
+    let first = live.check(arena);
+    let added = live.mid_search_roots().to_vec();
+    if added.is_empty() {
+        return None;
+    }
+    let mut upfront = Smt::new(live_smt_config());
+    for &a in asserts.iter().chain(&added) {
+        upfront.assert_term(arena, a);
+    }
+    let second = upfront.check(arena);
+    let (v1, v2) = (Verdict::of(&first), Verdict::of(&second));
+    let definitive = |v: Verdict| matches!(v, Verdict::Unsat | Verdict::Sat { complete: true });
+    if definitive(v1) && definitive(v2) && v1 != v2 {
+        violations.push(format!(
+            "live solve says {}, with its {} lemmas up front {}",
+            verdict_name(v1),
+            added.len(),
+            verdict_name(v2)
+        ));
+    }
+    for (which, result) in [("live", &first), ("up-front", &second)] {
+        let SmtResult::Sat(model) = result else {
+            continue;
+        };
+        // the final assignment satisfies every clause the solve added,
+        // complete model or not (a lost unit fact shows here)
+        for (i, &lemma) in added.iter().enumerate() {
+            if skeleton_holds(arena, model, lemma) == Some(false) {
+                violations.push(format!("{which} assignment falsifies lemma #{i}"));
+            }
+        }
+        // a complete model satisfies the asserts and the lemmas outright
+        // (an incomplete one need not: branch and bound may have given up)
+        if model.complete {
+            let facts: Vec<TermId> = asserts.iter().chain(&added).copied().collect();
+            let res = check_model(arena, &facts, model);
+            violations.extend(res.falsified.iter().map(|&i| {
+                let kind = if i < asserts.len() { "assert" } else { "lemma" };
+                format!("{which} model falsifies {kind} #{i}")
+            }));
+            violations.extend(res.euf_conflicts);
+        }
+    }
+    Some(v1)
 }
 
 /// A fresh one-shot solve of `asserts` in `f`'s arena.

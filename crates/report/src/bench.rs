@@ -24,6 +24,10 @@ pub struct BenchRow {
     pub cache_hits: u64,
     /// Normalized-query cache misses.
     pub cache_misses: u64,
+    /// Constraint checks in `solve` the hole memo answered.
+    pub solve_memo_hits: u64,
+    /// Path checks in `pickOne` the hole memo answered.
+    pub pickone_memo_hits: u64,
     /// Median query latency (µs), 0 when absent.
     pub query_p50_us: f64,
     /// 90th-percentile query latency (µs).
@@ -66,6 +70,8 @@ pub fn parse(text: &str) -> Result<Vec<BenchRow>, String> {
             feasibility_queries: num("feasibility_queries") as u64,
             cache_hits: num("cache_hits") as u64,
             cache_misses: num("cache_misses") as u64,
+            solve_memo_hits: num("solve_memo_hits") as u64,
+            pickone_memo_hits: num("pickone_memo_hits") as u64,
             query_p50_us: num("query_p50_us"),
             query_p90_us: num("query_p90_us"),
             query_p99_us: num("query_p99_us"),

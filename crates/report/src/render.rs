@@ -144,18 +144,19 @@ pub fn analysis_report(analysis: &Analysis, stats: &IngestStats, bench: &[BenchR
         writeln!(s, "== profile summary (BENCH_pins.json) ==").unwrap();
         writeln!(
             s,
-            "{:<24} {:<16} {:>10} {:>8} {:>24}",
-            "benchmark", "verdict", "wall", "queries", "query p50/p90/p99 (us)"
+            "{:<24} {:<16} {:>10} {:>8} {:>16} {:>24}",
+            "benchmark", "verdict", "wall", "queries", "memo solve/pick", "query p50/p90/p99 (us)"
         )
         .unwrap();
         for row in bench {
             writeln!(
                 s,
-                "{:<24} {:<16} {:>10} {:>8} {:>24}",
+                "{:<24} {:<16} {:>10} {:>8} {:>16} {:>24}",
                 row.benchmark,
                 row.verdict,
                 format!("{:.1}ms", row.wall_ms),
                 row.smt_queries,
+                format!("{}/{}", row.solve_memo_hits, row.pickone_memo_hits),
                 format!(
                     "{:.0}/{:.0}/{:.0}",
                     row.query_p50_us, row.query_p90_us, row.query_p99_us

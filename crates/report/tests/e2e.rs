@@ -48,6 +48,11 @@ fn traced_run_yields_provenance_attribution_and_percentiles() {
         run_pins_with(&b, &args, &registry)
     };
     let row = ProfileRow::from_registry(b.name(), verdict_of(&result), &registry);
+    assert!(
+        row.solve_memo_hits > 0 && row.pickone_memo_hits > 0,
+        "{row:?}"
+    );
+    let memo = format!("{}/{}", row.solve_memo_hits, row.pickone_memo_hits);
     std::fs::write(&bench_path, pins_bench::profile::to_json(&[row])).unwrap();
     assert!(result.is_ok(), "Σi should solve in fast mode: {result:?}");
 
@@ -104,6 +109,9 @@ fn traced_run_yields_provenance_attribution_and_percentiles() {
     assert!(stdout.contains("latency percentiles"), "{stdout}");
     assert!(stdout.contains(b.name()), "{stdout}");
     assert!(stdout.contains("smt.query"), "{stdout}");
+    // the profile summary shows the hole memo's realized hits
+    assert!(stdout.contains("memo solve/pick"), "{stdout}");
+    assert!(stdout.contains(&memo), "{stdout}");
 }
 
 #[test]

@@ -199,6 +199,8 @@ pub struct Smt {
     mbtc_done: FxHashSet<(TermId, TermId)>,
     ematch_done: FxHashSet<(TermId, Vec<TermId>)>,
     ematch_count: usize,
+    /// Lemma and e-matching instance roots asserted mid-search, in order.
+    mid_search: Vec<TermId>,
     /// Shared budget; `check` layers the config's per-query limits on top.
     budget: Budget,
     /// Statistics for the current instance.
@@ -228,6 +230,7 @@ impl Smt {
             mbtc_done: FxHashSet::default(),
             ematch_done: FxHashSet::default(),
             ematch_count: 0,
+            mid_search: Vec::new(),
             budget: Budget::unlimited(),
             stats: SmtStats::default(),
         }
@@ -273,6 +276,14 @@ impl Smt {
         for ax in prep.axioms {
             self.axioms.push(arena, ax);
         }
+    }
+
+    /// Every lemma and e-matching instance root [`Smt::check`] asserted
+    /// mid-search so far, in order: consequences of the asserts, the
+    /// axioms and the theories that the search added as it found it needed
+    /// them (the instances of upfront instantiation are not among them).
+    pub fn mid_search_roots(&self) -> &[TermId] {
+        &self.mid_search
     }
 
     /// The unsat core of the most recent `Unsat` answer from
@@ -651,6 +662,7 @@ impl Smt {
                         // as far as each requires); new atoms are recorded at
                         // the level the trail lands on, and SAT decides them
                         let t_rec = Instant::now();
+                        self.mid_search.extend_from_slice(&lemmas);
                         for lem in lemmas {
                             self.assert_lemma(arena, lem);
                         }

@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use pins_ir::{CmpOp, EHoleId, Expr, PHoleId, Pred, Program, Type, VarId};
-use pins_logic::{FxHashMap, Sort, Symbol, TermArena, TermId};
+use pins_logic::{FxHashMap, FxHashSet, Sort, Symbol, Term, TermArena, TermId};
 
 /// A version map `V`: SSA-style version per variable (absent = version 0).
 pub type VersionMap = BTreeMap<VarId, u32>;
@@ -36,7 +36,8 @@ pub struct HoleOcc {
 }
 
 /// Shared translation state for one synthesis session: the term arena, the
-/// variable/function symbol tables, and the hole-occurrence registry.
+/// variable/function symbol tables, the hole-occurrence registry, and the
+/// hole occurrences found in each term asked about so far.
 #[derive(Debug, Clone)]
 pub struct SymCtx {
     /// The term arena all formulas live in.
@@ -45,6 +46,10 @@ pub struct SymCtx {
     var_sorts: Vec<Sort>,
     occs: Vec<HoleOcc>,
     occ_ids: FxHashMap<HoleOcc, u32>,
+    /// Per term: its `(hole term, occurrence id)` pairs, as a range of
+    /// `hole_lists`.
+    holes_of: FxHashMap<TermId, (u32, u32)>,
+    hole_lists: Vec<(TermId, u32)>,
 }
 
 impl SymCtx {
@@ -73,6 +78,8 @@ impl SymCtx {
             var_sorts,
             occs: Vec::new(),
             occ_ids: FxHashMap::default(),
+            holes_of: FxHashMap::default(),
+            hole_lists: Vec::new(),
         }
     }
 
@@ -106,6 +113,58 @@ impl SymCtx {
     /// The occurrence with the given id.
     pub fn occurrence(&self, id: u32) -> &HoleOcc {
         &self.occs[id as usize]
+    }
+
+    /// The hole occurrences in `t`: every distinct hole term once, with its
+    /// occurrence id. The first call for a term walks it; later calls read
+    /// the list back.
+    pub fn holes_in(&mut self, t: TermId) -> &[(TermId, u32)] {
+        let (start, len) = self.hole_range(t);
+        &self.hole_lists[start..start + len]
+    }
+
+    /// Where `t`'s hole occurrences sit in `hole_lists`.
+    fn hole_range(&mut self, t: TermId) -> (usize, usize) {
+        if let Some(&(start, len)) = self.holes_of.get(&t) {
+            return (start as usize, len as usize);
+        }
+        let start = self.hole_lists.len();
+        let mut seen = FxHashSet::default();
+        let mut stack = vec![t];
+        while let Some(s) = stack.pop() {
+            if !seen.insert(s) {
+                continue;
+            }
+            match self.arena.term(s) {
+                Term::Hole(occ, _) => self.hole_lists.push((s, *occ)),
+                _ => stack.extend(self.arena.children(s)),
+            }
+        }
+        let len = self.hole_lists.len() - start;
+        self.holes_of.insert(t, (start as u32, len as u32));
+        (start, len)
+    }
+
+    /// `t` with each hole occurrence replaced by what `fill` returns for
+    /// its occurrence id; `None` leaves the occurrence symbolic. A term
+    /// without holes comes back as it is, without a walk.
+    pub fn fill_holes(
+        &mut self,
+        t: TermId,
+        mut fill: impl FnMut(&mut SymCtx, u32) -> Option<TermId>,
+    ) -> TermId {
+        let (start, len) = self.hole_range(t);
+        if len == 0 {
+            return t;
+        }
+        let mut map = FxHashMap::default();
+        for i in start..start + len {
+            let (hole, occ) = self.hole_lists[i];
+            if let Some(r) = fill(self, occ) {
+                map.insert(hole, r);
+            }
+        }
+        self.arena.substitute(t, &map)
     }
 
     fn register_occ(&mut self, occ: HoleOcc) -> TermId {

@@ -9,7 +9,7 @@ use std::hash::BuildHasher;
 
 use pins_budget::{Budget, StopReason};
 use pins_ir::{EHoleId, Expr, LoopId, PHoleId, Pred, Program, Stmt, VarId};
-use pins_logic::{collect_subterms, FxHashMap, FxHashSet, Term, TermId};
+use pins_logic::{FxHashMap, FxHashSet, TermId};
 use pins_smt::SmtSession;
 
 use crate::ctx::{version_of, HoleKind, SymCtx, VersionMap};
@@ -22,9 +22,9 @@ use crate::ctx::{version_of, HoleKind, SymCtx, VersionMap};
 /// holes symbolic (they act as unconstrained constants).
 pub trait HoleFiller {
     /// Candidate for an expression hole.
-    fn expr(&self, h: EHoleId) -> Option<Expr>;
+    fn expr(&self, h: EHoleId) -> Option<&Expr>;
     /// Candidate for a predicate hole.
-    fn pred(&self, h: PHoleId) -> Option<Pred>;
+    fn pred(&self, h: PHoleId) -> Option<&Pred>;
 }
 
 /// Leaves every hole symbolic.
@@ -32,10 +32,10 @@ pub trait HoleFiller {
 pub struct EmptyFiller;
 
 impl HoleFiller for EmptyFiller {
-    fn expr(&self, _h: EHoleId) -> Option<Expr> {
+    fn expr(&self, _h: EHoleId) -> Option<&Expr> {
         None
     }
-    fn pred(&self, _h: PHoleId) -> Option<Pred> {
+    fn pred(&self, _h: PHoleId) -> Option<&Pred> {
         None
     }
 }
@@ -50,11 +50,11 @@ pub struct MapFiller {
 }
 
 impl HoleFiller for MapFiller {
-    fn expr(&self, h: EHoleId) -> Option<Expr> {
-        self.exprs.get(&h).cloned()
+    fn expr(&self, h: EHoleId) -> Option<&Expr> {
+        self.exprs.get(&h)
     }
-    fn pred(&self, h: PHoleId) -> Option<Pred> {
-        self.preds.get(&h).cloned()
+    fn pred(&self, h: PHoleId) -> Option<&Pred> {
+        self.preds.get(&h)
     }
 }
 
@@ -105,6 +105,21 @@ impl PathResult {
     }
 }
 
+/// A path prefix [`Explorer::enumerate`] cut at a loop's unroll bound: the
+/// loop had been entered `max_unroll` times, so only its exit branch was
+/// explored from here. Bounded verification is complete only when every
+/// cut's `conjuncts ∧ guard` is unsatisfiable (CBMC's unwinding
+/// assertions).
+#[derive(Debug, Clone)]
+pub struct UnwindCut {
+    /// The loop.
+    pub loop_id: LoopId,
+    /// The path-condition conjuncts up to the cut (holes unsubstituted).
+    pub conjuncts: Vec<TermId>,
+    /// The loop guard at the cut.
+    pub guard: TermId,
+}
+
 #[derive(Clone)]
 struct State<'p> {
     frames: Vec<(&'p [Stmt], usize)>,
@@ -138,6 +153,9 @@ pub struct Explorer<'p> {
     pub budget_hit: bool,
     /// Why the last search was interrupted by the shared budget, if it was.
     pub stop_reason: Option<StopReason>,
+    /// The prefixes the last [`enumerate`](Self::enumerate) cut at a
+    /// loop's unroll bound, in search order (guided searches record none).
+    pub cuts: Vec<UnwindCut>,
 }
 
 /// How many symbolic steps pass between budget polls (a power of two so the
@@ -162,6 +180,7 @@ impl<'p> Explorer<'p> {
             budget: Budget::unlimited(),
             budget_hit: false,
             stop_reason: None,
+            cuts: Vec::new(),
         }
     }
 
@@ -231,6 +250,7 @@ impl<'p> Explorer<'p> {
         self.steps = 0;
         self.budget_hit = false;
         self.stop_reason = None;
+        self.cuts.clear();
         let mut span = pins_trace::span("symexec.enumerate");
         let queries_before = self.feasibility_queries();
         let mut out = Vec::new();
@@ -332,6 +352,14 @@ impl<'p> Explorer<'p> {
                     let mut options: Vec<bool> = if entered < self.config.max_unroll {
                         vec![true, false] // enter, then exit
                     } else {
+                        if let Mode::Collect { .. } = mode {
+                            let guard = ctx.pred_term(self.program, p, &state.vmap);
+                            self.cuts.push(UnwindCut {
+                                loop_id: *id,
+                                conjuncts: state.conjuncts.clone(),
+                                guard,
+                            });
+                        }
                         vec![false]
                     };
                     if self.config.exit_first {
@@ -450,33 +478,13 @@ pub fn apply_filler_term(
     t: TermId,
     filler: &dyn HoleFiller,
 ) -> TermId {
-    let mut holes: Vec<(TermId, u32)> = Vec::new();
-    {
-        let mut subs = FxHashSet::default();
-        collect_subterms(&ctx.arena, t, &mut subs);
-        for s in subs {
-            if let Term::Hole(occ, _) = ctx.arena.term(s) {
-                holes.push((s, *occ));
-            }
-        }
-    }
-    if holes.is_empty() {
-        return t;
-    }
-    let mut map = FxHashMap::default();
-    for (hole_term, occ_id) in holes {
-        let occ = ctx.occurrence(occ_id).clone();
-        let replacement = match occ.kind {
+    ctx.fill_holes(t, |ctx, occ| {
+        let occ = ctx.occurrence(occ).clone();
+        match occ.kind {
             HoleKind::Expr(h) => filler
                 .expr(h)
-                .map(|e| ctx.expr_term(program, &e, &occ.vmap, occ.sort)),
-            HoleKind::Pred(h) => filler
-                .pred(h)
-                .map(|p| ctx.pred_term(program, &p, &occ.vmap)),
-        };
-        if let Some(r) = replacement {
-            map.insert(hole_term, r);
+                .map(|e| ctx.expr_term(program, e, &occ.vmap, occ.sort)),
+            HoleKind::Pred(h) => filler.pred(h).map(|p| ctx.pred_term(program, p, &occ.vmap)),
         }
-    }
-    ctx.arena.substitute(t, &map)
+    })
 }

@@ -39,6 +39,7 @@ mod explore;
 pub use ctx::{sort_of, version_of, HoleKind, HoleOcc, SymCtx, VersionMap};
 pub use explore::{
     apply_filler_term, EmptyFiller, ExploreConfig, Explorer, HoleFiller, MapFiller, PathResult,
+    UnwindCut,
 };
 
 #[cfg(test)]

@@ -55,8 +55,10 @@ fn sum_i_keeps_its_counts_while_both_shortcuts_fire() {
     assert!(smt.core_hits > 0, "{smt:?}");
     assert!(smt.core_hits <= smt.cache_hits);
     // the run owns its cache, so its split does not depend on what else
-    // ran in this process
-    assert_eq!([smt.cache_hits, smt.cache_misses], [468, 162], "{smt:?}");
+    // ran in this process; most core hits never reach the session, since
+    // the hole memo answers them first
+    assert!(solve.memo_hits > 0, "{solve:?}");
+    assert_eq!([smt.cache_hits, smt.cache_misses], [46, 162], "{smt:?}");
     assert_eq!(smt.cache_hits + smt.cache_misses, smt.queries);
     assert_eq!(solve.cache_hits + solve.cache_misses, solve.smt_queries);
 }
